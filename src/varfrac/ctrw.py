@@ -1,25 +1,31 @@
 """The enhanced chain (position, accumulated waiting time), its horizon
 hitting time, and Monte Carlo functionals of the time-changed walk.
 
-Trajectory i of a run with seed s consumes only stream (s, i), so estimates
-are bit-identical for any worker count; chunk boundaries are fixed and the
-cross-chunk reduction runs in chunk order with exact compensated summation.
+One kernel, `_advance`, moves every chain over a fixed-width lane vector: a
+lane carries a trajectory id with its own step count, position and time, and
+takes the next id of its worker's range when its trajectory ends. Step k of
+trajectory i reads only the variates keyed by (seed, i, k), so lane width and
+thread count are free to vary. The reduction blocks are fixed: F is summed
+over the same `_CHUNK`-id blocks, combined in block order with exact
+compensated summation, so estimates are bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepBudgetExceeded
+from .errors import NonFiniteFunctional, StepBudgetExceeded
 from .model import Model, gamma_at
 from .streams import TrajectoryStream, uniforms
 
 DEFAULT_STEP_CAP = 10**8
-_CHUNK = 4096
+_CHUNK = 4096  # ids per reduction block and per cut between worker ranges
+_LANES = 16384  # lane-vector width of one worker
 
 
 @dataclass(frozen=True)
@@ -92,79 +98,113 @@ def run_to_horizon(x0, s0, t, tau, model: Model, kernel_family, law,
 
     Returns (position at that step, hitting step time k*tau, step count).
     The position reported is the one updated jointly with the crossing
-    waiting increment.
+    waiting increment. The walk reads seed_stream's trajectory from step 1;
+    it is the ensemble kernel run on a single lane.
     """
     if t <= s0:
         raise ValueError("horizon must exceed the initial accumulated time")
-    state = ChainState(x=np.atleast_1d(np.asarray(x0, dtype=float)), s=float(s0))
-    while state.s < t:
-        u_jump, u_wait = seed_stream.next_pair()
-        state = step_chain(state, tau, model, kernel_family, law, u_jump, u_wait)
-        if state.k > step_cap:
-            raise StepBudgetExceeded(f"exceeded {step_cap} steps before reaching t={t}")
-    x = state.x[0] if model.dim == 1 else state.x
-    return x, state.k * tau, state.k
+    xs, ks = _run_chunk_to_horizon(model, kernel_family, law, x0, s0, t, tau,
+                                   seed_stream.seed, seed_stream.traj, step_cap)
+    return xs[0], int(ks[0]) * tau, int(ks[0])
 
 
-# ---------------------------------------------------------------------------
-# vectorized ensemble engine
-# ---------------------------------------------------------------------------
+def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
+             on_step=None):
+    """Run trajectories ids over at most _LANES lanes; return their final
+    (positions, step counts) ordered like ids.
 
-
-def _run_chunk_to_horizon(model, kern, law, x0, s0, t, tau, seed, ids, step_cap):
-    """Advance a block of trajectories in lockstep until each reaches t.
-
-    Returns (final positions, step counts) ordered like ids.
+    ends(k, s) marks the lanes whose trajectory ends at step k with time s;
+    such a lane restarts on the next id, or is dropped once none are left.
+    on_step(pos, k, x, s) sees every lane after every step; pos indexes ids.
     """
     n = len(ids)
-    d = model.dim
-    inv_beta = 1.0 / model.beta
-    h_x = tau**inv_beta
-    alive_ids = np.asarray(ids, dtype=np.uint64)
-    pos = np.arange(n)
-    if d == 1:
-        x = np.full(n, float(x0))
-    else:
-        x = np.tile(np.asarray(x0, dtype=float), (n, 1))
-    s = np.full(n, float(s0))
-    out_x = np.empty(n) if d == 1 else np.empty((n, d))
+    h_x = tau ** (1.0 / model.beta)
+    x_start = float(x0) if model.dim == 1 else np.asarray(x0, dtype=float)
+    pos = np.arange(min(n, _LANES))
+    lane_ids = ids[pos]
+    x = np.full(pos.shape + np.shape(x_start), x_start)
+    s = np.full(len(pos), float(s0))
+    k = np.zeros(len(pos), dtype=np.uint64)
+    out_x = np.empty((n,) + np.shape(x_start))
     out_k = np.empty(n, dtype=np.int64)
-    k = 0
+    next_pos = len(pos)
+    passes = 0
     while len(pos):
+        passes += 1
         k += 1
-        if k > step_cap:
-            raise StepBudgetExceeded(f"exceeded {step_cap} steps before reaching t={t}")
-        u_jump = uniforms(seed, alive_ids, k, 0)
-        u_wait = uniforms(seed, alive_ids, k, 1)
+        # No lane's k exceeds the pass count: check lanes only past the cap.
+        if passes > step_cap and k.max() > step_cap:
+            raise StepBudgetExceeded(f"exceeded {step_cap} steps before reaching the horizon")
+        u_jump = uniforms(seed, lane_ids, k, 0)
+        u_wait = uniforms(seed, lane_ids, k, 1)
         gam = model.alpha * model.order_field(s, x)
         r = law.sample(gam, u_wait)
-        s = s + np.power(tau, 1.0 / gam) * r
-        y = kern.sample(x, u_jump)
-        x = x + h_x * np.asarray(y)
-        done = s >= t
-        if np.any(done):
-            idx = pos[done]
-            out_x[idx] = x[done]
-            out_k[idx] = k
-            keep = ~done
-            pos = pos[keep]
-            alive_ids = alive_ids[keep]
-            x = x[keep]
-            s = s[keep]
+        s += np.power(tau, 1.0 / gam) * r
+        x += h_x * np.asarray(kern.sample(x, u_jump))
+        if on_step is not None:
+            on_step(pos, k, x, s)
+        lanes = ends(k, s).nonzero()[0]
+        if not len(lanes):
+            continue
+        out_x[pos[lanes]] = x[lanes]
+        out_k[pos[lanes]] = k[lanes]
+        fresh = lanes[: n - next_pos]
+        if len(fresh):
+            pos[fresh] = np.arange(next_pos, next_pos + len(fresh))
+            next_pos += len(fresh)
+            lane_ids[fresh] = ids[pos[fresh]]
+            x[fresh] = x_start
+            s[fresh] = s0
+            k[fresh] = 0
+        if len(fresh) < len(lanes):
+            keep = np.ones(len(pos), dtype=bool)
+            keep[lanes[len(fresh):]] = False
+            pos, lane_ids, x, s, k = pos[keep], lane_ids[keep], x[keep], s[keep], k[keep]
     return out_x, out_k
 
 
-def _chunks(n_traj):
-    return [(lo, min(lo + _CHUNK, n_traj)) for lo in range(0, n_traj, _CHUNK)]
+def _run_chunk_to_horizon(model, kern, law, x0, s0, t, tau, seed, ids, step_cap):
+    """(final positions, step counts) of trajectories ids run to horizon t."""
+    return _advance(model, kern, law, x0, s0, tau, seed, ids, lambda k, s: s >= t, step_cap)
 
 
-def _map_chunks(fn, n_traj, threads):
-    spans = _chunks(n_traj)
-    if threads <= 1:
-        return [fn(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futures]
+def _run_chunk_fixed_steps(model, kern, law, x0, s0, tau, seed, ids, step_counts):
+    """{count: (x, s) at that step} for trajectories ids, ordered like ids.
+    Every lane ends at the last count, so refills restart the whole vector."""
+    targets = sorted({int(c) for c in step_counts})
+    shape = (len(ids),) + np.shape(x0)
+    snaps = {c: (np.empty(shape), np.empty(len(ids))) for c in targets}
+
+    def snapshot(pos, k, x, s):
+        for c, (xs, ss) in snaps.items():
+            lanes = k == c
+            if lanes.any():
+                xs[pos[lanes]] = x[lanes]
+                ss[pos[lanes]] = s[lanes]
+
+    last = targets[-1]
+    _advance(model, kern, law, x0, s0, tau, seed, ids, lambda k, s: k == last,
+             on_step=snapshot)
+    return snaps
+
+
+def _map_ranges(fn, n_traj, threads):
+    """fn(ids) over at most `threads` contiguous id ranges, each cut on a
+    multiple of _CHUNK; results in range order."""
+    blocks = -(-n_traj // _CHUNK)
+    parts = max(1, min(threads, blocks))
+    cuts = [min(blocks * w // parts * _CHUNK, n_traj) for w in range(parts + 1)]
+    ranges = [np.arange(lo, hi, dtype=np.uint64) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    if parts == 1:
+        return [fn(ranges[0])]
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        return list(pool.map(fn, ranges))
+
+
+def _hitting(x0, s0, t, tau, n_traj, seed, model, kern, law, threads, step_cap):
+    parts = _map_ranges(lambda ids: _run_chunk_to_horizon(
+        model, kern, law, x0, s0, t, tau, seed, ids, step_cap), n_traj, threads)
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def estimate_functional(F, x0, s0, t, tau, n_traj, seed, *, model, kernel_family, law,
@@ -172,70 +212,35 @@ def estimate_functional(F, x0, s0, t, tau, n_traj, seed, *, model, kernel_family
     """Monte Carlo mean of F over the time-changed walk at horizon t.
 
     Deterministic in (seed, config): trajectory i always uses stream
-    (seed, i), and the chunk reduction order is fixed regardless of threads.
+    (seed, i), F is summed over fixed _CHUNK-id blocks, and the blocks are
+    combined in block order regardless of threads. Raises
+    NonFiniteFunctional if F is not finite on some trajectory.
     """
     if n_traj < 100:
         raise ValueError("n_traj must be at least 100")
-
-    def work(lo, hi):
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        xs, _ = _run_chunk_to_horizon(
-            model, kernel_family, law, x0, s0, t, tau, seed, ids, step_cap
-        )
-        vals = np.asarray(F(xs), dtype=float)
+    xs, _ = _hitting(x0, s0, t, tau, n_traj, seed, model, kernel_family, law, threads,
+                     step_cap)
+    sums, sums_sq = [], []
+    for lo in range(0, n_traj, _CHUNK):
+        hi = min(lo + _CHUNK, n_traj)
+        vals = np.asarray(F(xs[lo:hi]), dtype=float)
         if vals.shape != (hi - lo,):
             vals = np.broadcast_to(vals, (hi - lo,)).astype(float)
-        return float(np.sum(vals)), float(np.sum(vals * vals))
-
-    parts = _map_chunks(work, n_traj, threads)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    mean = total / n_traj
-    var = max(total_sq / n_traj - mean * mean, 0.0) * n_traj / max(n_traj - 1, 1)
-    return MCEstimate(
-        mean=mean, std_error=math.sqrt(var / n_traj), n_traj=n_traj, seed=seed
-    )
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteFunctional("the functional is not finite on some trajectory")
+        sums.append(float(np.sum(vals)))
+        sums_sq.append(float(np.sum(vals * vals)))
+    mean = math.fsum(sums) / n_traj
+    var = max(math.fsum(sums_sq) / n_traj - mean * mean, 0.0) * n_traj / max(n_traj - 1, 1)
+    return MCEstimate(mean=mean, std_error=math.sqrt(var / n_traj), n_traj=n_traj, seed=seed)
 
 
 def sample_hitting(x0, s0, t, tau, n_traj, seed, *, model, kernel_family, law,
                    threads: int = 1, step_cap: int = DEFAULT_STEP_CAP):
     """Raw ensemble results: final positions and hitting step times."""
-
-    def work(lo, hi):
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        return _run_chunk_to_horizon(
-            model, kernel_family, law, x0, s0, t, tau, seed, ids, step_cap
-        )
-
-    parts = _map_chunks(work, n_traj, threads)
-    xs = np.concatenate([p[0] for p in parts])
-    ks = np.concatenate([p[1] for p in parts])
+    xs, ks = _hitting(x0, s0, t, tau, n_traj, seed, model, kernel_family, law, threads,
+                      step_cap)
     return xs, ks * tau
-
-
-def _run_chunk_fixed_steps(model, kern, law, x0, s0, tau, seed, ids, step_counts):
-    """Advance a block for max(step_counts) steps, snapshotting the pair."""
-    n = len(ids)
-    d = model.dim
-    h_x = tau ** (1.0 / model.beta)
-    if d == 1:
-        x = np.full(n, float(x0))
-    else:
-        x = np.tile(np.asarray(x0, dtype=float), (n, 1))
-    s = np.full(n, float(s0))
-    targets = {int(c) for c in step_counts}
-    snaps = {}
-    for k in range(1, max(targets) + 1):
-        u_jump = uniforms(seed, ids, k, 0)
-        u_wait = uniforms(seed, ids, k, 1)
-        gam = model.alpha * model.order_field(s, x)
-        r = law.sample(gam, u_wait)
-        s = s + np.power(tau, 1.0 / gam) * r
-        y = kern.sample(x, u_jump)
-        x = x + h_x * np.asarray(y)
-        if k in targets:
-            snaps[k] = (x.copy(), s.copy())
-    return snaps
 
 
 def sample_chain_at_steps(x0, s0, tau, step_counts, n_traj, seed, *, model, kernel_family,
@@ -244,41 +249,29 @@ def sample_chain_at_steps(x0, s0, tau, step_counts, n_traj, seed, *, model, kern
 
     Returns {step_count: (x array, s array)} with trajectories in index order.
     """
-
-    def work(lo, hi):
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        return _run_chunk_fixed_steps(
-            model, kernel_family, law, x0, s0, tau, seed, ids, step_counts
-        )
-
-    parts = _map_chunks(work, n_traj, threads)
-    out = {}
-    for k in sorted({int(c) for c in step_counts}):
-        xs = np.concatenate([p[k][0] for p in parts])
-        ss = np.concatenate([p[k][1] for p in parts])
-        out[k] = (xs, ss)
-    return out
+    parts = _map_ranges(lambda ids: _run_chunk_fixed_steps(
+        model, kernel_family, law, x0, s0, tau, seed, ids, step_counts), n_traj, threads)
+    return {c: (np.concatenate([p[c][0] for p in parts]),
+                np.concatenate([p[c][1] for p in parts])) for c in parts[0]}
 
 
 def dump_trajectories(path, x0, s0, t, tau, n_traj, seed, *, model, kernel_family, law,
                       step_cap: int = DEFAULT_STEP_CAP) -> None:
     """Write the first n_traj trajectories as CSV rows (traj, step, x, s),
-    replaying the exact streams the estimators consume."""
-    import csv
-
+    replaying the exact streams the estimators consume; x is the first
+    coordinate."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["traj", "step", "x", "s"])
+
+        def record(pos, k, x, s):
+            writer.writerow([i, int(k[0]), repr(float(x.flat[0])), repr(float(s[0]))])
+
         for i in range(n_traj):
-            state = ChainState(x=np.atleast_1d(np.asarray(x0, dtype=float)), s=float(s0))
-            stream = TrajectoryStream(seed, i)
-            writer.writerow([i, 0, repr(float(state.x[0])), repr(state.s)])
-            while state.s < t:
-                u_jump, u_wait = stream.next_pair()
-                state = step_chain(state, tau, model, kernel_family, law, u_jump, u_wait)
-                writer.writerow([i, state.k, repr(float(state.x[0])), repr(float(state.s))])
-                if state.k > step_cap:
-                    raise StepBudgetExceeded(f"exceeded {step_cap} steps in trajectory dump")
+            writer.writerow([i, 0, repr(float(np.ravel(x0)[0])), repr(float(s0))])
+            _advance(model, kernel_family, law, x0, s0, tau, seed,
+                     np.asarray([i], dtype=np.uint64), lambda k, s: s >= t, step_cap,
+                     on_step=record)
 
 
 def empirical_transition_density(x0, s0, tau, u_grid, y_edges, v_edges, n_traj, seed, *,

@@ -72,3 +72,8 @@ class InversionFailure(VarfracError):
 
 class AccuracyLoss(VarfracError):
     """Requested evaluation lies outside the validated accuracy envelope."""
+
+
+class NonFiniteFunctional(VarfracError):
+    """A Monte Carlo functional evaluated to NaN or infinity on some
+    trajectory."""

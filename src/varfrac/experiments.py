@@ -139,7 +139,24 @@ def validate_config(config) -> dict:
     if unknown:
         raise ConfigError(f"unknown numerics keys {sorted(unknown)} for {name}")
     merged["numerics"] = {**preset["numerics"], **(config.get("numerics") or {})}
+    _check_trajectory_counts(merged["numerics"])
     return merged
+
+
+_TRAJ_KEYS = ("mc_n_traj", "lattice_n_traj", "ks_n_traj", "density_n_traj")
+
+
+def _check_trajectory_counts(numerics):
+    """Every trajectory count must be an integer of at least 100."""
+    counts = [(key, numerics[key]) for key in _TRAJ_KEYS if key in numerics]
+    points = numerics.get("points", [])
+    if not (isinstance(points, list)
+            and all(isinstance(p, dict) and isinstance(p.get("n_traj"), list) for p in points)):
+        raise ConfigError("points must be a list of objects, each with an n_traj list")
+    counts += [(f"points[{i}].n_traj", n) for i, p in enumerate(points) for n in p["n_traj"]]
+    for name, n in counts:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 100:
+            raise ConfigError(f"{name} must be an integer of at least 100, got {n!r}")
 
 
 def _row(experiment, quantity, value, uncertainty=None, **params):

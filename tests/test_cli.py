@@ -69,6 +69,22 @@ def test_unknown_keys_exit_2(tmp_path):
     assert main(["run", str(cfg2), "--out", str(tmp_path / "o2")]) == 2
 
 
+@pytest.mark.parametrize("n_traj", [50, "many", 1000.0, True])
+def test_bad_trajectory_count_exit_2(tmp_path, capsys, n_traj):
+    cfg = _write(tmp_path, "bad.json", {**SMALL_TRI, "numerics": {"mc_n_traj": n_traj}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "mc_n_traj" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_ladder_trajectory_count_exit_2(tmp_path, capsys):
+    points = [{"x0": 0.0, "taus": [1e-2, 1e-3], "n_traj": [1000, 50]}]
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "variable-order",
+                                        "seed": 0, "numerics": {"points": points}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "points[0].n_traj" in capsys.readouterr().err
+
+
 def test_unknown_experiment_exit_2(tmp_path):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "nope", "seed": 0})
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2

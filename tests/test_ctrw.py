@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from varfrac import ctrw, oracles, waiting
-from varfrac.errors import StepBudgetExceeded
+from varfrac.errors import NonFiniteFunctional, StepBudgetExceeded
 from varfrac.kernels import kernel_family
 from varfrac.streams import TrajectoryStream
 
@@ -226,3 +227,83 @@ def test_two_dimensional_chain_steps():
                                   TrajectoryStream(seed=3, traj_index=1))
     assert x.shape == (2,)
     assert T == pytest.approx(k * 0.02)
+
+
+# Golden digests of the chain's output bytes for the variable-order model,
+# recorded before the lane-refill kernel replaced the per-chunk loops. 40,000
+# trajectories fill more than two lane widths and end in a ragged id block,
+# so these pin every bit across lane width, refill and thread count.
+_HITTING_SHA256 = "eaf2d2506d688685ba33c1b5e2ad2ce1e9ce0730e2bd78e7df86e9ba8273448a"
+_SNAPSHOT_SHA256 = "4a65a0bdce9f611ad2408547746443804bd36664ec801b6224e3f14c41c66420"
+_ESTIMATE_HEX = ("0x1.d06ce9c312c19p-1", "0x1.7fb01423b33ffp-11")
+_DUMP_SHA256 = "af198e4b87ea6c025f7818d9e1e40508ff89536e0e007412f9c611ba8f0a41e8"
+
+
+@pytest.fixture(scope="module")
+def varorder_setup(varorder_model):
+    law = waiting.build_waiting_law(varorder_model.gamma_lo, varorder_model.gamma_hi)
+    return dict(model=varorder_model, kernel_family=kernel_family(varorder_model), law=law)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_hitting_golden_digest(varorder_setup, threads):
+    xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 1e-2, 40_000, 8, threads=threads,
+                                 **varorder_setup)
+    assert hashlib.sha256(xs.tobytes() + Ts.tobytes()).hexdigest() == _HITTING_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_snapshot_golden_digest(varorder_setup, threads):
+    snaps = ctrw.sample_chain_at_steps(0.3, 0.0, 1e-2, [60, 7, 25], 40_000, 8,
+                                       threads=threads, **varorder_setup)
+    digest = hashlib.sha256()
+    for k in sorted(snaps):
+        digest.update(snaps[k][0].tobytes())
+        digest.update(snaps[k][1].tobytes())
+    assert digest.hexdigest() == _SNAPSHOT_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimate_golden_bits(varorder_setup, threads):
+    est = ctrw.estimate_functional(np.cos, 0.0, 0.0, 1.0, 1e-2, 40_000, 8, threads=threads,
+                                   **varorder_setup)
+    assert (est.mean.hex(), est.std_error.hex()) == _ESTIMATE_HEX
+
+
+def test_dump_golden_digest(varorder_setup, tmp_path):
+    path = tmp_path / "trajectories.csv"
+    ctrw.dump_trajectories(path, 0.0, 0.0, 1.0, 1e-2, 5, 8, **varorder_setup)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _DUMP_SHA256
+
+
+def test_step_chain_replay_matches_ensemble(varorder_setup):
+    # step_chain is the scalar transition, written apart from the kernel;
+    # replaying it must give the ensemble's bits for refilled lanes too.
+    kw = varorder_setup
+    xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 1e-2, 20_000, 8, **kw)
+    for i in (0, 16_383, 16_384, 19_999):
+        state = ctrw.ChainState(x=np.array([0.0]), s=0.0)
+        st = TrajectoryStream(seed=8, traj_index=i)
+        while state.s < 1.0:
+            uj, uw = st.next_pair()
+            state = ctrw.step_chain(state, 1e-2, kw["model"], kw["kernel_family"], kw["law"],
+                                    uj, uw)
+        assert state.x[0] == xs[i]
+        assert state.k * 1e-2 == Ts[i]
+
+
+def test_step_budget_enforced_per_lane(const_setup):
+    model, fam, law = const_setup
+    kw = dict(model=model, kernel_family=fam, law=law)
+    _, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 300, 4, **kw)
+    most = int(np.max(np.round(Ts / 0.05)))
+    ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 300, 4, step_cap=most, **kw)
+    with pytest.raises(StepBudgetExceeded):
+        ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 300, 4, step_cap=most - 1, **kw)
+
+
+def test_estimator_rejects_non_finite_functional(const_setup):
+    model, fam, law = const_setup
+    with pytest.raises(NonFiniteFunctional), np.errstate(divide="ignore", invalid="ignore"):
+        ctrw.estimate_functional(lambda x: x / 0.0, 0.0, 0.0, 1.0, 0.05, 500, 9,
+                                 model=model, kernel_family=fam, law=law)

@@ -39,3 +39,13 @@ def test_trajectory_stream_matches_vectorized():
     for k, (uj, uw) in enumerate(pairs, start=1):
         assert uj == uniforms(123, np.array([17]), k, 0)[0]
         assert uw == uniforms(123, np.array([17]), k, 1)[0]
+
+
+def test_per_lane_steps_match_scalar_step():
+    traj = np.arange(1000)
+    steps = traj % 7 + 1
+    steps[-1] = 2**40  # large steps wrap the same way in both forms
+    u = uniforms(3, traj, steps, 1)
+    for k in np.unique(steps):
+        lanes = steps == k
+        assert np.array_equal(u[lanes], uniforms(3, traj[lanes], int(k), 1))
