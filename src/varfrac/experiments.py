@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctrw, oracles, solver, subordination, svgplot, waiting
-from .errors import ConfigError
+from .errors import ConfigError, VarfracError
 from .kernels import kernel_family
 from .model import make_model
 
@@ -140,6 +140,11 @@ def validate_config(config) -> dict:
         raise ConfigError(f"unknown numerics keys {sorted(unknown)} for {name}")
     merged["numerics"] = {**preset["numerics"], **(config.get("numerics") or {})}
     _check_trajectory_counts(merged["numerics"])
+    if "model" in merged:
+        try:
+            make_model(merged["model"])
+        except (VarfracError, ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid model: {exc}") from exc
     return merged
 
 

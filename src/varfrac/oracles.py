@@ -9,6 +9,7 @@ convention explicitly to prevent silent mismatches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,23 +129,19 @@ def constant_order_solution(gamma: float, k: float, sigma: float, c: float = 1.0
 
 
 # ---------------------------------------------------------------------------
-# fixed Talbot inversion of Laplace transforms
+# fixed Talbot inversion of the increasing coordinate's transforms
 # ---------------------------------------------------------------------------
 
+# Complex values held at once per contour evaluation; bounds the slab when
+# both the time parameter and the level are vectors.
+_SLAB = 1 << 16
 
-def _talbot(transform, times, degree=32):
-    """Fixed Talbot inversion, vectorized over positive times.
 
-    transform must accept a complex ndarray and return the transform values.
-    Rows where the contour integrand overflows are returned as 0: for the
-    completely monotone transforms used here that happens only at times far
-    below the distribution's scale, where the true value is superexponentially
-    small.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times <= 0.0):
-        raise InversionFailure("Talbot inversion requires strictly positive times")
-    M = int(degree)
+@functools.cache
+def _talbot_nodes(degree: int):
+    """Nodes delta_k and weights gamma_k of the fixed Talbot contour
+    (Abate & Valko, IJNME 60, 2004)."""
+    M = degree
     k = np.arange(M)
     theta = k * np.pi / M
     delta = np.empty(M, dtype=complex)
@@ -155,55 +152,79 @@ def _talbot(transform, times, degree=32):
     gam[1:] = (
         1.0 + 1j * theta[1:] * (1.0 + 1.0 / np.tan(theta[1:]) ** 2) - 1j / np.tan(theta[1:])
     ) * np.exp(delta[1:])
-    p = delta[None, :] / times[:, None]
+    delta.flags.writeable = gam.flags.writeable = False
+    return delta, gam
+
+
+def _talbot(gamma, s, level, cdf, degree):
+    delta, gam = _talbot_nodes(degree)
+    p = delta / level[..., None]
+    psi = laplace_exponent(gamma, p)
+    out = np.empty((s.size,) + level.shape)
+    rows = max(1, _SLAB // p.size)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        vals = transform(p)
-        terms = gam[None, :] * vals
-        out = (0.4 / times) * np.sum(terms, axis=1).real
-        # Divergent contour: individual terms dwarf any probability-scale
-        # value the inversions here can take.
-        bad = ~np.isfinite(out) | (np.nanmax(np.abs(terms), axis=1) * 0.4 / times > 1e12)
-    return np.where(bad, 0.0, out)
+        for lo in range(0, s.size, rows):
+            sb = s.reshape((-1,) + (1,) * p.ndim)[lo : lo + rows]
+            # With one s the slab overwrites psi: the two never coexist.
+            terms = np.multiply(-sb, psi, out=psi[None] if s.size == 1 else None)
+            np.exp(terms, out=terms)
+            if cdf:
+                np.divide(terms, p, out=terms)
+            np.multiply(gam, terms, out=terms)
+            val = (0.4 / level) * np.sum(terms, axis=-1).real
+            # Divergent contour: individual terms dwarf any probability-scale
+            # value the inversions here can take.
+            bad = ~np.isfinite(val) | (np.nanmax(np.abs(terms), axis=-1) * 0.4 / level > 1e12)
+            out[lo : lo + rows] = np.where(bad, 0.0, val)
+    return out.reshape(s.shape + level.shape)
 
 
-def invert_laplace(transform, times, degree=32, check_degree=44, tol=1e-6):
-    """Invert with two Talbot degrees and fail loudly on disagreement."""
-    a = _talbot(transform, times, degree)
-    b = _talbot(transform, times, check_degree)
-    if np.max(np.abs(a - b)) > tol:
-        raise InversionFailure(
-            f"Talbot degrees {degree}/{check_degree} disagree by {np.max(np.abs(a - b)):.3g}"
-        )
+def invert_laplace(gamma: float, s, level, cdf=False, degree=32, check_degree=44, tol=1e-6):
+    """Density of S_s at each level, or with cdf=True P(S_s <= level), by
+    fixed Talbot inversion of exp(-s psi(lam)) (divided by lam for the CDF),
+    psi being `laplace_exponent`.
+
+    s and level are each a scalar or 1-D; the result has shape
+    s.shape + level.shape. psi is evaluated once per degree on the nodes
+    delta/level. Both degrees run and must agree within tol, else
+    InversionFailure; the check_degree values are returned. Where the contour
+    integrand overflows the value is 0: for these completely monotone
+    transforms that happens only at levels far below S_s's scale, where the
+    true value is superexponentially small.
+    """
+    s = np.asarray(s, dtype=float)
+    level = np.asarray(level, dtype=float)
+    if np.any(level <= 0.0):
+        raise InversionFailure("Talbot inversion requires strictly positive levels")
+    a = _talbot(gamma, s, level, cdf, degree)
+    b = _talbot(gamma, s, level, cdf, check_degree)
+    gap = np.max(np.abs(a - b), initial=0.0)
+    if gap > tol:
+        raise InversionFailure(f"Talbot degrees {degree}/{check_degree} disagree by {gap:.3g}")
     return b
 
 
-def subordinator_cdf(gamma: float, s: float, v) -> np.ndarray:
+def subordinator_cdf(gamma: float, s, v) -> np.ndarray:
     """P(S_s <= v) for the increasing coordinate with jump density r^(-1-gamma).
 
-    Computed by Talbot inversion of exp(-s * Gamma(1-gamma) lam^gamma / gamma)
-    / lam; accuracy ~1e-6. Values are clipped to [0, 1].
+    s is a scalar or 1-D; the result has shape s.shape + v.shape. Accuracy
+    ~1e-6; values are clipped to [0, 1].
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    out = np.zeros_like(v)
+    out = np.zeros(np.shape(s) + v.shape)
     pos = v > 0.0
     if np.any(pos):
-        def transform(lam):
-            return np.exp(-s * laplace_exponent(gamma, lam)) / lam
-
-        out[pos] = invert_laplace(transform, v[pos])
+        out[..., pos] = invert_laplace(gamma, s, v[pos], cdf=True)
     return np.clip(out, 0.0, 1.0)
 
 
 def subordinator_density(gamma: float, s: float, w) -> np.ndarray:
-    """Density of S_s at w, by Talbot inversion of exp(-s * exponent)."""
+    """Density of S_s at w, checked between Talbot degrees 32 and 40."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     out = np.zeros_like(w)
     pos = w > 0.0
     if np.any(pos):
-        def transform(lam):
-            return np.exp(-s * laplace_exponent(gamma, lam))
-
-        out[pos] = _talbot(transform, w[pos], degree=40)
+        out[pos] = invert_laplace(gamma, s, w[pos], check_degree=40)
     return np.maximum(out, 0.0)
 
 
@@ -219,14 +240,15 @@ class ConstantOrderDensity:
     independent, Gaussian times one-sided stable.
 
     Exposes exact cell masses (erf and Laplace-inverted CDF differences) so
-    quadratures against it need not sample the near-origin density spike.
+    quadratures against it need not sample the near-origin density spike;
+    `subordination` takes the y masses one u at a time and the v masses for
+    all its u nodes in one call.
     """
 
     gamma: float
     g0: float
     x0: float
     s0: float
-    separable: bool = True
 
     def density(self, u: float, y_centers: np.ndarray, v_centers: np.ndarray) -> np.ndarray:
         """Joint density on the (y, v) grid at elapsed operational time u."""
@@ -243,56 +265,20 @@ class ConstantOrderDensity:
         cdf = ndtr((np.asarray(y_edges, dtype=float) - self.x0) / sd)
         return np.maximum(np.diff(cdf), 0.0)
 
-    def v_cell_masses(self, u: float, v_edges: np.ndarray) -> np.ndarray:
+    def v_cell_masses(self, u, v_edges: np.ndarray) -> np.ndarray:
+        """Masses of the v cells; u is a scalar or 1-D (one row per u)."""
         cdf = subordinator_cdf(self.gamma, u, np.asarray(v_edges, dtype=float) - self.s0)
-        return np.maximum(np.diff(cdf), 0.0)
+        return np.maximum(np.diff(cdf, axis=-1), 0.0)
 
 
 def hitting_time_cdf(gamma: float, t: float, u) -> np.ndarray:
     """CDF of the first passage of the increasing coordinate over level t,
-    started from 0: P(T(t) <= u) = 1 - P(S_u < t).
-
-    The Talbot nodes depend only on the fixed level t, so the inversion
-    vectorizes over the elapsed times u.
-    """
+    started from 0: P(T(t) <= u) = 1 - P(S_u <= t)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.zeros_like(u)
     pos = u > 0.0
     if np.any(pos):
-        up = u[pos]
-
-        def run(degree):
-            M = int(degree)
-            k = np.arange(M)
-            theta = k * np.pi / M
-            delta = np.empty(M, dtype=complex)
-            delta[0] = 2.0 * M / 5.0
-            delta[1:] = 2.0 * np.pi / 5.0 * k[1:] * (1.0 / np.tan(theta[1:]) + 1j)
-            gam = np.empty(M, dtype=complex)
-            gam[0] = 0.5 * np.exp(delta[0])
-            gam[1:] = (
-                1.0
-                + 1j * theta[1:] * (1.0 + 1.0 / np.tan(theta[1:]) ** 2)
-                - 1j / np.tan(theta[1:])
-            ) * np.exp(delta[1:])
-            p = delta / t
-            psi = laplace_exponent(gamma, p)
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                vals = np.exp(-np.outer(up, psi)) / p[None, :]
-                terms = gam[None, :] * vals
-                out = (0.4 / t) * np.sum(terms, axis=1).real
-                bad = ~np.isfinite(out) | (
-                    np.nanmax(np.abs(terms), axis=1) * 0.4 / t > 1e12
-                )
-            # the contour diverges only when the level t is far below S_u's
-            # scale, where P(S_u <= t) is effectively zero
-            return np.where(bad, 0.0, out)
-
-        a = run(32)
-        b = run(44)
-        if np.max(np.abs(a - b)) > 1e-6:
-            raise InversionFailure("first-passage inversion degrees disagree")
-        out[pos] = 1.0 - b
+        out[pos] = 1.0 - invert_laplace(gamma, u[pos], t, cdf=True)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -56,6 +56,9 @@ def uniforms(seed: int, traj, step, channel: int):
     trajectory; both forms give the same bits for the same (traj, step).
     """
     traj = np.asarray(traj, dtype=np.uint64)
+    if traj.ndim == 0:
+        # numpy's scalar path warns on the intended uint64 wraparound
+        return uniforms(seed, traj[None], step, channel)[0]
     key = _mix_int((int(seed) & _M64) * _PHI + _C3)
     channel_key = (int(channel) * _C2 + _PHI) & _M64
     if np.ndim(step):

@@ -18,6 +18,7 @@ import numpy as np
 from .ctrw import DensityGrid
 from .errors import DomainError, LatticeOverflow, SingularityResolutionError
 from .model import Diffusion, Model, gamma_at
+from .oracles import ConstantOrderDensity
 from .waiting import DiscretizedWaitingLaw
 
 
@@ -72,25 +73,140 @@ def subordinated_expectation(model: Model, G, F, x0, s0, t, K=None,
     int dy int du int_s0^t dv (t-v)^(-gamma(v,y))/gamma(v,y) G(u; y,v) F(y).
 
     G is either an empirical DensityGrid (its own axes are used; u = 0
-    contributes the exact starting-point term) or an analytic object with a
-    .density(u, y_centers, v_centers) method (quadrature axes built here).
+    contributes the exact starting-point term) or an analytic object with
+    .y_cell_masses(u, y_edges) and .v_cell_masses(u_vector, v_edges)
+    (quadrature axes built here from the keyword sizes).
     K, when given, truncates the operational-time integral to [1/K, K].
     """
-    if isinstance(G, DensityGrid):
-        return _expectation_empirical(model, G, F, x0, s0, t, K)
-    return _expectation_analytic(
-        model, G, F, x0, s0, t, K, n_v=n_v, n_y=n_y,
-        y_halfwidth=y_halfwidth, u_max=u_max, n_u=n_u,
+    value, band = _time_change(
+        model, G, F, x0, s0, t, K, *_axes(model, G, x0, s0, t, n_v, n_y, y_halfwidth, u_max, n_u)
     )
+    return SubordinationResult(value=float(value), band=float(band))
 
 
-def _u_window(nodes, K, include_zero):
-    lo = 0.0 if K is None else 1.0 / K
-    hi = math.inf if K is None else float(K)
-    keep = (nodes >= lo) & (nodes <= hi)
-    if include_zero and K is None:
-        keep[0] = True
-    return keep
+def subordinated_density(model: Model, G, x0, s0, t, K=None,
+                         n_v: int = 512, n_y: int = 513,
+                         y_halfwidth: float | None = None,
+                         u_max: float | None = None,
+                         n_u: int = 257):
+    """Density of the walk position at the horizon over the y bins of G (or
+    of the quadrature axes for an analytic G).
+
+    Returns (y_centers, density values, band per point). Same quadrature as
+    the expectation with F replaced by each bin's indicator over its width;
+    the output integrates to 1 within the grid's resolution.
+    """
+    axes = _axes(model, G, x0, s0, t, n_v, n_y, y_halfwidth, u_max, n_u)
+    dens, band = _time_change(model, G, None, x0, s0, t, K, *axes)
+    y_edges = axes[0]
+    return 0.5 * (y_edges[:-1] + y_edges[1:]), dens, band
+
+
+def _axes(model, G, x0, s0, t, n_v, n_y, y_halfwidth, u_max, n_u):
+    """(y_edges, v_edges, u_max, n_u) of the quadrature; an empirical grid
+    brings its own axes and u nodes."""
+    if isinstance(G, DensityGrid):
+        if G.v_edges[0] > s0 + 1e-12:
+            raise SingularityResolutionError("v grid must start at or below s0")
+        if G.v_edges[-1] < t:
+            raise SingularityResolutionError("v grid must reach the horizon t")
+        return G.y_edges, G.v_edges, None, None
+    if u_max is None:
+        u_max = _find_u_max(model, G, x0, s0, t)
+    if y_halfwidth is None:
+        y_halfwidth = _default_y_halfwidth(model, u_max)
+    y_edges = np.linspace(x0 - y_halfwidth, x0 + y_halfwidth, n_y + 1)
+    if n_u % 2 == 0:
+        n_u += 1
+    return y_edges, np.linspace(s0, t, n_v + 1), u_max, n_u
+
+
+def _window(nodes, K):
+    """Mask of the u nodes inside the truncation window [1/K, K]."""
+    if K is None:
+        return np.ones(nodes.shape, dtype=bool)
+    return (nodes >= 1.0 / K) & (nodes <= K)
+
+
+def _time_change(model, G, F, x0, s0, t, K, y_edges, v_edges, u_max, n_u):
+    """Integral over u of the u-integrand: the first moment of the theta
+    weight under the pair law G(u; y, v), weighted over y by F, or with F
+    None by each bin's indicator over its width (one value per y bin).
+
+    Returns (value, band). An empirical G gives per-node second moments too,
+    and their multinomial spread is propagated to the band; its measured
+    nodes are integrated by the trapezoid rule, starting from the exact
+    u = 0 term, or, for a 1-D diffusion without K, from the frozen-coefficient
+    quadrature of the same integrand over [0, u_1]. An analytic G is
+    integrated by Simpson's rule in q = sqrt(u), or with K by the trapezoid
+    rule over the window.
+    """
+    y_centers = 0.5 * (y_edges[:-1] + y_edges[1:])
+    keep, integrals = _theta_cell_weights(model, t, v_edges, y_centers)
+    # Per-cell coefficient: the mean theta weight over each v cell, with F
+    # folded in before the (y, v) reduction.
+    coef = integrals / np.diff(v_edges)[keep][None, :]
+    if F is None:
+        dy, axis = np.diff(y_edges), -1
+    else:
+        f_y = np.broadcast_to(np.asarray(F(y_centers), dtype=float), y_centers.shape)
+        coef = coef * f_y[:, None]
+        dy, axis = 1.0, None
+
+    if isinstance(G, DensityGrid):
+        if F is None:
+            at_x0 = np.zeros(len(dy))
+            at_x0[np.searchsorted(y_edges, x0, side="right") - 1] = 1.0
+        else:
+            at_x0 = float(np.asarray(F(np.atleast_1d(x0)))[0])
+        rows = [theta_tail(model, s0, x0, t) * at_x0 / dy]
+        var = [np.zeros_like(rows[0])]
+        for mass in G.masses[:, :, keep]:
+            first = np.sum(mass * coef, axis=axis)
+            second = np.sum(mass * coef * coef, axis=axis)
+            rows.append(first / dy)
+            var.append(np.maximum(second - first * first, 0.0) / G.n_traj / dy**2)
+        nodes = np.concatenate([[0.0], G.u_values])
+        rows, sig = np.array(rows), np.sqrt(var)
+        bridge = _local_frozen_density(model, x0, s0) if K is None else None
+        if bridge is not None:
+            # The frozen-coefficient head replaces the u = 0 row. Each output
+            # keeps its own head axes: the density the histogram's y bins.
+            u1 = float(G.u_values[0])
+            if F is None:
+                head_axes = (y_edges, np.linspace(s0, t, 129), u1, 65)
+            else:
+                head_axes = _axes(model, bridge, x0, s0, t, 256, 257, None, u1, 129)
+            head, _ = _time_change(model, bridge, F, x0, s0, t, None, *head_axes)
+            w = _trapezoid_weights(nodes[1:])
+            return head + w @ rows[1:], w @ sig[1:]
+        win = _window(nodes, K)
+        w = _trapezoid_weights(nodes[win])
+        return w @ rows[win], w @ sig[win]
+
+    if K is None:
+        # Substitute u = q^2 (the start-point factor behaves like u^(-1/2))
+        # and run composite Simpson on the smooth q-integrand.
+        q = np.linspace(0.0, math.sqrt(u_max), n_u)
+        nodes, jac = q * q, 2.0 * q
+    else:
+        nodes = np.linspace(0.0, u_max, n_u)
+        nodes = nodes[_window(nodes, K)]
+        jac = np.ones_like(nodes)
+    live = nodes > 0.0
+    vals = np.zeros(nodes.shape + np.shape(dy))
+    for i, mv in zip(np.flatnonzero(live), G.v_cell_masses(nodes[live], v_edges)):
+        my = G.y_cell_masses(nodes[i], y_edges)
+        vals[i] = (jac[i] * (my / dy)) * (coef @ mv) if F is None else jac[i] * (my @ coef @ mv)
+    if K is not None:
+        value = _trapezoid_weights(nodes) @ vals
+    else:
+        h = q[1] - q[0]
+        value = h / 3.0 * (
+            vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2], axis=0)
+            + 2.0 * np.sum(vals[2:-1:2], axis=0)
+        )
+    return value, np.zeros_like(value)
 
 
 def _local_frozen_density(model, x0, s0):
@@ -99,134 +215,10 @@ def _local_frozen_density(model, x0, s0):
     available for 1-D second-order spatial parts."""
     if not isinstance(model.spatial, Diffusion) or model.dim != 1:
         return None
-    from .oracles import ConstantOrderDensity
-
     x0f = float(np.atleast_1d(x0)[0])
     gam0 = float(gamma_at(model, s0, x0f))
     g0 = float(np.atleast_1d(model.spatial.g(0.0, np.atleast_1d(x0f)))[0])
     return ConstantOrderDensity(gamma=gam0, g0=g0, x0=x0f, s0=float(s0))
-
-
-def _expectation_empirical(model, G: DensityGrid, F, x0, s0, t, K):
-    if G.v_edges[0] > s0 + 1e-12:
-        raise SingularityResolutionError("v grid must start at or below s0")
-    if G.v_edges[-1] < t:
-        raise SingularityResolutionError("v grid must reach the horizon t")
-    y_centers = 0.5 * (G.y_edges[:-1] + G.y_edges[1:])
-    dv = np.diff(G.v_edges)
-    keep, integrals = _theta_cell_weights(model, t, G.v_edges, y_centers)
-    f_y = np.asarray(F(y_centers), dtype=float)
-    if f_y.shape != y_centers.shape:
-        f_y = np.broadcast_to(f_y, y_centers.shape).astype(float)
-    # Per-cell coefficient c = theta-cell-integral / dv * F(y); inner(u) is
-    # the mass-weighted mean of c over the slice histogram.
-    coef = integrals / dv[keep][None, :] * f_y[:, None]
-    inner = np.empty(len(G.u_values))
-    var_inner = np.empty(len(G.u_values))
-    for i in range(len(G.u_values)):
-        mass = G.masses[i][:, keep]
-        first = float(np.sum(mass * coef))
-        second = float(np.sum(mass * coef * coef))
-        inner[i] = first
-        var_inner[i] = max(second - first * first, 0.0) / G.n_traj
-
-    bridge = _local_frozen_density(model, x0, s0) if K is None else None
-    if bridge is not None:
-        # Quadrature over [0, u_1] with the frozen-coefficient density, then
-        # trapezoid over the measured nodes.
-        u1 = float(G.u_values[0])
-        head = _expectation_analytic(
-            model, bridge, F, x0, s0, t, None,
-            n_v=256, n_y=257, y_halfwidth=None, u_max=u1, n_u=129,
-        ).value
-        w = _trapezoid_weights(G.u_values)
-        value = head + float(np.dot(w, inner))
-        band = float(np.dot(w, np.sqrt(var_inner)))
-        return SubordinationResult(value=value, band=band)
-
-    nodes = np.concatenate([[0.0], G.u_values])
-    vals = np.concatenate(
-        [[theta_tail(model, s0, x0, t) * float(np.asarray(F(np.atleast_1d(x0)))[0])], inner]
-    )
-    sig = np.concatenate([[0.0], np.sqrt(var_inner)])
-    win = _u_window(nodes, K, include_zero=K is None)
-    nodes_w = nodes[win]
-    w = _trapezoid_weights(nodes_w)
-    value = float(np.dot(w, vals[win]))
-    band = float(np.dot(w, sig[win]))
-    return SubordinationResult(value=value, band=band)
-
-
-def _expectation_analytic(model, G, F, x0, s0, t, K, *, n_v, n_y, y_halfwidth, u_max, n_u):
-    if u_max is None:
-        u_max = _find_u_max(model, G, x0, s0, t)
-    if y_halfwidth is None:
-        y_halfwidth = _default_y_halfwidth(model, u_max)
-    y_edges = np.linspace(x0 - y_halfwidth, x0 + y_halfwidth, n_y + 1)
-    y_centers = 0.5 * (y_edges[:-1] + y_edges[1:])
-    dy = y_centers[1] - y_centers[0]
-    v_edges = np.linspace(s0, t, n_v + 1)
-    _, integrals = _theta_cell_weights(model, t, v_edges, y_centers)
-    v_centers = 0.5 * (v_edges[:-1] + v_edges[1:])
-    dv = np.diff(v_edges)
-    f_y = np.asarray(F(y_centers), dtype=float)
-    if f_y.shape != y_centers.shape:
-        f_y = np.broadcast_to(f_y, y_centers.shape).astype(float)
-    separable = getattr(G, "separable", False)
-    if separable:
-        # Exact cell masses against the mean theta weight per cell.
-        weight = integrals / dv[None, :] * f_y[:, None]
-    else:
-        weight = integrals * f_y[:, None] * dy
-
-    if n_u % 2 == 0:
-        n_u += 1
-
-    def inner(u):
-        if u == 0.0:
-            return theta_tail(model, s0, x0, t) * float(np.asarray(F(np.atleast_1d(x0)))[0])
-        if separable:
-            my = G.y_cell_masses(u, y_edges)
-            mv = G.v_cell_masses(u, v_edges)
-            return float(my @ weight @ mv)
-        dens = G.density(u, y_centers, v_centers)
-        return float(np.sum(dens * weight))
-
-    if K is None:
-        # Substitute u = q^2 (the start-point factor behaves like u^(-1/2))
-        # and run composite Simpson on the smooth q-integrand.
-        q_nodes = np.linspace(0.0, math.sqrt(u_max), n_u)
-        vals = np.array([0.0] + [2.0 * q * inner(q * q) for q in q_nodes[1:]])
-        h = q_nodes[1] - q_nodes[0]
-        value = h / 3.0 * (
-            vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-1:2])
-        )
-    else:
-        nodes = np.linspace(0.0, u_max, n_u)
-        win = _u_window(nodes, K, include_zero=False)
-        nodes_w = nodes[win]
-        vals_w = np.array([inner(u) for u in nodes_w])
-        value = float(np.dot(_trapezoid_weights(nodes_w), vals_w))
-    return SubordinationResult(value=float(value), band=0.0)
-
-
-def _bridge_density_head(model, bridge, t, u1, y_edges, y_centers, dy, n_v=128, n_q=65):
-    """Per-bin averaged contribution of the short-time piece over [0, u1]."""
-    v_edges = np.linspace(bridge.s0, t, n_v + 1)
-    dv = np.diff(v_edges)
-    _, integrals = _theta_cell_weights(model, t, v_edges, y_centers)
-    theta_avg = integrals / dv[None, :]
-    q_nodes = np.linspace(0.0, math.sqrt(u1), n_q if n_q % 2 else n_q + 1)
-    rows = np.zeros((len(q_nodes), len(y_centers)))
-    for i, q in enumerate(q_nodes[1:], start=1):
-        u = q * q
-        my = bridge.y_cell_masses(u, y_edges)
-        mv = bridge.v_cell_masses(u, v_edges)
-        rows[i] = 2.0 * q * (my / dy) * (theta_avg @ mv)
-    h = q_nodes[1] - q_nodes[0]
-    return h / 3.0 * (
-        rows[0] + rows[-1] + 4.0 * np.sum(rows[1:-1:2], axis=0) + 2.0 * np.sum(rows[2:-1:2], axis=0)
-    )
 
 
 def _find_u_max(model, G, x0, s0, t, tol=1e-10):
@@ -251,84 +243,6 @@ def _default_y_halfwidth(model, u_max):
     if isinstance(model.spatial, Diffusion):
         return 8.0 * math.sqrt(model.spatial.g_hi * u_max) + 1.0
     return 40.0
-
-
-def subordinated_density(model: Model, G, x0, s0, t, K=None, **kw):
-    """Density of the walk position at the horizon over the y grid of G.
-
-    Returns (y_centers, density values, band per point). Same quadrature as
-    the expectation with F removed; the output integrates to 1 within the
-    grid's resolution.
-    """
-    if isinstance(G, DensityGrid):
-        y_centers = 0.5 * (G.y_edges[:-1] + G.y_edges[1:])
-        dy = np.diff(G.y_edges)
-        dv = np.diff(G.v_edges)
-        keep, integrals = _theta_cell_weights(model, t, G.v_edges, y_centers)
-        coef = integrals / dv[keep][None, :]
-        inner = np.empty((len(G.u_values), len(y_centers)))
-        var_inner = np.empty_like(inner)
-        for i in range(len(G.u_values)):
-            mass = G.masses[i][:, keep]
-            first = np.sum(mass * coef, axis=1)
-            second = np.sum(mass * coef * coef, axis=1)
-            inner[i] = first / dy
-            var_inner[i] = np.maximum(second - first * first, 0.0) / G.n_traj / dy**2
-        bridge = _local_frozen_density(model, x0, s0) if K is None else None
-        if bridge is not None:
-            u1 = float(G.u_values[0])
-            head = _bridge_density_head(model, bridge, t, u1, G.y_edges, y_centers, dy)
-            w = _trapezoid_weights(G.u_values)
-            dens = head + w @ inner
-            band = w @ np.sqrt(var_inner)
-            return y_centers, dens, band
-        nodes = np.concatenate([[0.0], G.u_values])
-        zero_row = np.zeros(len(y_centers))
-        iz = np.searchsorted(G.y_edges, x0, side="right") - 1
-        zero_row[iz] = theta_tail(model, s0, x0, t) / dy[iz]
-        vals = np.vstack([zero_row, inner])
-        sig = np.vstack([np.zeros(len(y_centers)), np.sqrt(var_inner)])
-        win = _u_window(nodes, K, include_zero=K is None)
-        w = _trapezoid_weights(nodes[win])
-        dens = w @ vals[win]
-        band = w @ sig[win]
-        return y_centers, dens, band
-    n_v = kw.pop("n_v", 512)
-    n_y = kw.pop("n_y", 513)
-    y_halfwidth = kw.pop("y_halfwidth", None)
-    u_max = kw.pop("u_max", None)
-    n_u = kw.pop("n_u", 257)
-    if u_max is None:
-        u_max = _find_u_max(model, G, x0, s0, t)
-    if y_halfwidth is None:
-        y_halfwidth = _default_y_halfwidth(model, u_max)
-    y_edges = np.linspace(x0 - y_halfwidth, x0 + y_halfwidth, n_y + 1)
-    y_centers = 0.5 * (y_edges[:-1] + y_edges[1:])
-    dy = y_centers[1] - y_centers[0]
-    v_edges = np.linspace(s0, t, n_v + 1)
-    v_centers = 0.5 * (v_edges[:-1] + v_edges[1:])
-    dv = np.diff(v_edges)
-    _, integrals = _theta_cell_weights(model, t, v_edges, y_centers)
-    separable = getattr(G, "separable", False)
-    if n_u % 2 == 0:
-        n_u += 1
-    q_nodes = np.linspace(0.0, math.sqrt(u_max), n_u)
-    vals = np.zeros((n_u, n_y))
-    for i, q in enumerate(q_nodes[1:], start=1):
-        u = q * q
-        if separable:
-            my = G.y_cell_masses(u, y_edges)
-            mv = G.v_cell_masses(u, v_edges)
-            row = (my / dy) * ((integrals / dv[None, :]) @ mv)
-        else:
-            dens = G.density(u, y_centers, v_centers)
-            row = np.sum(dens * integrals, axis=1)
-        vals[i] = 2.0 * q * row
-    h = q_nodes[1] - q_nodes[0]
-    out = h / 3.0 * (
-        vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2], axis=0) + 2.0 * np.sum(vals[2:-1:2], axis=0)
-    )
-    return y_centers, out, np.zeros_like(out)
 
 
 # ---------------------------------------------------------------------------

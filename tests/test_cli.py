@@ -6,6 +6,7 @@ import pytest
 
 from varfrac.cli import main, read_results
 from varfrac.errors import SchemaMismatch
+from varfrac.experiments import PRESETS
 
 SMALL_TRI = {
     "schema_version": 1,
@@ -83,6 +84,15 @@ def test_bad_ladder_trajectory_count_exit_2(tmp_path, capsys):
                                         "seed": 0, "numerics": {"points": points}})
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "points[0].n_traj" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [{"alpha": 0.9, "a_hi": 1.2}, {"alpha": "half"}])
+def test_bad_model_exit_2(tmp_path, capsys, change):
+    model = {**PRESETS["triangulation"]["model"], **change}
+    cfg = _write(tmp_path, "bad.json", {**SMALL_TRI, "model": model})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "invalid model" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_experiment_exit_2(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.special import erfc, erfcinv, erfcx
 
 from varfrac import oracles
-from varfrac.errors import AccuracyLoss
+from varfrac.errors import AccuracyLoss, InversionFailure
 
 # Frozen reference constants, each computed from a closed form independent of
 # the code paths under test.
@@ -155,3 +156,76 @@ def test_constant_order_density_cell_masses():
         c / (2.0 * math.sqrt(math.pi)) * 2.0**-1.5 * math.exp(-c * c / 8.0)
     )
     assert dens[0, 0] == pytest.approx(ana, rel=1e-6)
+
+
+# Golden SHA-256 digests of the float64 output bytes of the Talbot-based
+# references, recorded before their inversions were merged into one inverter.
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+_GOLDEN = {
+    "subordinator_cdf":
+        "d61eea4715b404d9e7d1b646a4365d98f3a6357ac4431d0d03478797b67d1447",
+    "subordinator_density":
+        "1328e3d3ef91a1ec2f2216bf4664d06d31efb5ea0c0c60b40962b232f4ef8330",
+    "hitting_time_cdf":
+        "8b5948fdb951a67afa5b18048773a8c88835bd2464b06326c17b2870e96bfbdb",
+    "mixture_density":
+        "de6d9dbc463a9a74172e319cdf2995365dc946c74e2cfe720eb9faf5dd79036c",
+    "v_cell_masses":
+        "323a147ff388b1ec193f1e904816671755392f4bbc22024dc41e8ef12236c073",
+}
+
+
+def _golden_outputs(name):
+    if name == "subordinator_cdf":
+        v = np.concatenate([[-1.0, 0.0, 1e-3], np.linspace(0.05, 30.0, 97), [200.0]])
+        return [oracles.subordinator_cdf(g, s, v) for g, s in ((0.6, 1.3), (0.35, 0.2))]
+    if name == "subordinator_density":
+        w = np.concatenate([[-0.5, 0.0], np.linspace(0.02, 20.0, 79)])
+        return [oracles.subordinator_density(g, s, w) for g, s in ((0.5, 0.7), (0.75, 0.3))]
+    if name == "hitting_time_cdf":
+        u = np.concatenate([[0.0], np.linspace(0.01, 8.0, 64)])
+        return [oracles.hitting_time_cdf(g, 1.0, u) for g in (0.6, 0.3)]
+    if name == "mixture_density":
+        y = np.linspace(-4.0, 4.0, 41)
+        return [oracles.time_changed_gaussian_density(0.6, 1.0, 0.2, 1.0, y, n_u=300)]
+    G = oracles.ConstantOrderDensity(gamma=0.6, g0=1.0, x0=0.0, s0=0.1)
+    v_edges = np.linspace(0.0, 2.0, 65)
+    return [G.v_cell_masses(u, v_edges) for u in (0.05, 0.4, 1.7)]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_talbot_golden_digest(name):
+    assert _sha256(*_golden_outputs(name)) == _GOLDEN[name]
+
+
+def test_vector_u_rows_match_scalar_calls():
+    # 200 u values over 64 levels span several contour slabs
+    G = oracles.ConstantOrderDensity(gamma=0.5, g0=1.0, x0=0.0, s0=0.1)
+    v_edges = np.linspace(0.0, 2.0, 65)
+    u = np.linspace(0.05, 1.7, 200)
+    masses = G.v_cell_masses(u, v_edges)
+    cdf = oracles.subordinator_cdf(0.5, u, v_edges)
+    assert masses.shape == (200, 64) and cdf.shape == (200, 65)
+    for i, ui in enumerate(u):
+        assert np.array_equal(masses[i], G.v_cell_masses(ui, v_edges))
+        assert np.array_equal(cdf[i], oracles.subordinator_cdf(0.5, ui, v_edges))
+
+
+def test_hitting_time_cdf_is_one_minus_subordinator_cdf():
+    u = np.linspace(0.01, 8.0, 64)
+    hit = oracles.hitting_time_cdf(0.6, 1.0, u)
+    for i, ui in enumerate(u):
+        assert hit[i] == 1.0 - oracles.subordinator_cdf(0.6, ui, [1.0])[0]
+
+
+def test_subordinator_density_degree_disagreement_raises():
+    # Far below the scale of S_2 at gamma = 0.75 the degree-40 contour gives
+    # about -1.7e8; the degree-32 check refuses it instead of clamping to 0.
+    with pytest.raises(InversionFailure):
+        oracles.subordinator_density(0.75, 2.0, np.array([1.556923076923077]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from varfrac.streams import TrajectoryStream, uniforms
@@ -49,3 +51,13 @@ def test_per_lane_steps_match_scalar_step():
     for k in np.unique(steps):
         lanes = steps == k
         assert np.array_equal(u[lanes], uniforms(3, traj[lanes], int(k), 1))
+
+
+def test_scalar_index_takes_the_array_path():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = uniforms(1, 5, 1, 0)
+        steps = uniforms(1, 5, 2**40, 3)
+    assert np.shape(u) == () and np.shape(steps) == ()
+    assert u == uniforms(1, np.array([5]), 1, 0)[0]
+    assert steps == uniforms(1, np.array([5]), 2**40, 3)[0]
