@@ -140,6 +140,7 @@ def validate_config(config) -> dict:
         raise ConfigError(f"unknown numerics keys {sorted(unknown)} for {name}")
     merged["numerics"] = {**preset["numerics"], **(config.get("numerics") or {})}
     _check_trajectory_counts(merged["numerics"])
+    _check_grids(name, merged["numerics"])
     if "model" in merged:
         try:
             make_model(merged["model"])
@@ -162,6 +163,32 @@ def _check_trajectory_counts(numerics):
     for name, n in counts:
         if isinstance(n, bool) or not isinstance(n, int) or n < 100:
             raise ConfigError(f"{name} must be an integer of at least 100, got {n!r}")
+
+
+def _check_grids(name, numerics):
+    """Every solver grid needs integer n_x >= 3 and n_s >= 16, and the
+    horizon t must be a finite number > 0. variable-order also solves on
+    the halved grid."""
+    t = numerics.get("t", 1.0)
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t < math.inf:
+        raise ConfigError(f"t must be a finite number > 0, got {t!r}")
+    grids = [("", numerics["n_x"], numerics["n_s"])] if "n_x" in numerics else []
+    if "resolutions" in numerics:
+        res = numerics["resolutions"]
+        if not (isinstance(res, list) and res
+                and all(isinstance(r, list) and len(r) == 2 for r in res)):
+            raise ConfigError("resolutions must be a non-empty list of [n_x, n_s] pairs")
+        grids += [(f"resolutions[{i}] ", *r) for i, r in enumerate(res)]
+    for where, n_x, n_s in grids:
+        _check_grid(where, n_x, n_s)
+    if name == "variable-order":
+        _check_grid("halved grid ", numerics["n_x"] // 2, numerics["n_s"] // 2)
+
+
+def _check_grid(where, n_x, n_s):
+    for key, n, lo in (("n_x", n_x, 3), ("n_s", n_s, 16)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < lo:
+            raise ConfigError(f"{where}{key} must be an integer of at least {lo}, got {n!r}")
 
 
 def _row(experiment, quantity, value, uncertainty=None, **params):

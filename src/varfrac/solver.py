@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import LinearSolveFailure, SingularityResolutionError
 from .model import Diffusion, Model
@@ -85,26 +86,39 @@ def _cell_moments(gamma, m_idx, ds):
     return A, B
 
 
+def _weight_tables(gamma, n: int, ds: float):
+    """Product-integration weights for a vector of orders (one per position)
+    at offsets m = 1..n, exact for piecewise-linear g, in (offset, position)
+    layout: W[m-1] multiplies g(s + m ds) - g(s) while offset m is not the
+    last one, T[m-1] multiplies it when it is, and bnd[m-1] = (m ds)^(-gamma)
+    / gamma is the boundary coefficient.
+
+    Cell m spans [m ds, (m+1) ds]. Its moments A (of r^(-1-gamma)) and B
+    (against the ramp (r - m ds)/ds) are differences of node values, so each
+    node k ds takes one power, shared by the two cells that meet there.
+    Cell 0 contributes only through the ramp, its integrable singularity
+    integrated analytically: ds^(-gamma)/(1-gamma).
+    """
+    gam = np.asarray(gamma, dtype=float)[None, :]
+    k = np.arange(1, n + 1, dtype=float)[:, None]
+    bnd = (k * ds) ** (-gam)
+    r = k * bnd / (1.0 - gam)  # (k ds)^(1-gamma) / ((1-gamma) ds)
+    bnd /= gam
+    A = bnd[:-1] - bnd[1:]
+    T = np.empty((n, gam.shape[1]))
+    T[0] = r[0]
+    T[1:] = r[1:] - r[:-1] - k[:-1] * A  # B of cells 1..n-1
+    return T[:-1] + A - T[1:], T, bnd
+
+
 def build_time_weights(gamma: float, n_future: int, ds: float) -> TimeWeights:
-    """Weights exact for piecewise-linear g; the first cell's integrable
-    singularity is integrated analytically against the linear ramp."""
+    """Weights of one slice n_future steps before the horizon: one column of
+    the solver's weight tables."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    M = int(n_future)
-    w = np.zeros(M)
-    # Cell 0 contributes only through the ramp: (g_1 - g_0) * ds^-gamma/(1-gamma).
-    b0 = ds ** (-gamma) / (1.0 - gamma)
-    if M == 1:
-        w[0] = b0
-    else:
-        m_idx = np.arange(1, M)
-        A, B = _cell_moments(gamma, m_idx, ds)
-        w[0] = b0 + A[0] - B[0]
-        if M > 2:
-            w[1 : M - 1] = B[:-1][: M - 2] + A[1:] - B[1:]
-        w[M - 1] = B[-1]
-    boundary = (M * ds) ** (-gamma) / gamma
-    return TimeWeights(gamma=float(gamma), ds=float(ds), weights=w, boundary_coef=boundary)
+    W, T, bnd = _weight_tables([gamma], int(n_future), ds)
+    return TimeWeights(gamma=float(gamma), ds=float(ds), weights=np.append(W[:, 0], T[-1, 0]),
+                       boundary_coef=float(bnd[-1, 0]))
 
 
 def apply_right_derivative(weights: TimeWeights, g: np.ndarray, j: int = 0) -> float:
@@ -139,13 +153,13 @@ def build_spatial_operator(model: Model, grid: Grid) -> np.ndarray:
     n = grid.n_x
     dx = grid.dx
     x = grid.x
-    L = np.zeros((n, n))
+    idx = np.arange(n)
     if isinstance(model.spatial, Diffusion):
         if model.dim != 1:
             raise ValueError("the grid solver is one-dimensional")
         g = np.asarray(model.spatial.g(0.0, x), dtype=float)
         c = 0.5 * g / dx**2
-        idx = np.arange(n)
+        L = np.zeros((n, n))
         L[idx, idx] = -2.0 * c
         L[idx, (idx + 1) % n] += c
         L[idx, (idx - 1) % n] += c
@@ -167,12 +181,9 @@ def build_spatial_operator(model: Model, grid: Grid) -> np.ndarray:
     W[M_y] = B[-1]
     # Fold onto the periodic grid.
     folded = np.bincount(np.arange(1, M_y + 1) % n, weights=W[1:], minlength=n)
-    row = np.zeros(n)
-    row += folded
-    row_rev = np.zeros(n)
     offs = (-np.arange(1, M_y + 1)) % n
     row_rev = np.bincount(offs, weights=W[1:], minlength=n)
-    base = row + row_rev  # total weight reaching column (i + c) mod n
+    base = folded + row_rev  # total weight reaching column (i + c) mod n
     total = np.sum(W[1:]) * 2.0
     base[0] -= total  # subtract 2 f(x) sum W
     # Tail beyond the truncation: attach to the grid mean.
@@ -180,9 +191,32 @@ def build_spatial_operator(model: Model, grid: Grid) -> np.ndarray:
     tail_row = np.full(n, 2.0 * R / n)
     tail_row[0] -= 2.0 * R
     base = base + tail_row
-    for i in range(n):
-        L[i] = m_vals[i] * np.roll(base, i)
-    return L
+    return m_vals[:, None] * base[(idx[None, :] - idx[:, None]) % n]
+
+
+def _slice_solver(model: Model, L: np.ndarray):
+    """Solver of (diag I - L) x = rhs for the march. A diffusion operator is
+    cyclic tridiagonal: its two periodic corners are split off by
+    Sherman-Morrison, leaving one banded solve on two right-hand sides.
+    The stable operator is full and is solved dense."""
+    if not isinstance(model.spatial, Diffusion):
+        return lambda diag, rhs: np.linalg.solve(np.diag(diag) - L, rhs)
+    ab = np.zeros((3, len(L)))  # solve_banded layout: super, main, sub
+    ab[0, 1:], ab[2, :-1] = -np.diagonal(L, 1), -np.diagonal(L, -1)
+    top, bottom, l_diag = -L[0, -1], -L[-1, 0], np.diagonal(L)
+    rhs2 = np.zeros((len(L), 2))
+
+    def cyclic(diag, rhs):
+        # A = B + u v^T with u = (shift, 0.., bottom), v = (1, 0.., top/shift).
+        ab[1] = diag - l_diag
+        shift = -ab[1, 0]
+        ab[1, 0] -= shift
+        ab[1, -1] -= bottom * top / shift
+        rhs2[:, 0], rhs2[0, 1], rhs2[-1, 1] = rhs, shift, bottom
+        y, z = solve_banded((1, 1), ab, rhs2, check_finite=False).T
+        return y - (y[0] + top * y[-1] / shift) / (1.0 + z[0] + top * z[-1] / shift) * z
+
+    return cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -200,59 +234,30 @@ def solve_terminal_problem(model: Model, F_terminal, t: float, grid: Grid) -> Fi
     """
     if grid.n_s < 16:
         raise SingularityResolutionError("need at least 16 time slices to resolve the horizon")
+    if grid.n_x < 3:
+        raise ValueError(f"need at least 3 grid points in x, got {grid.n_x}")
     if abs(grid.t - t) > 1e-12:
         raise ValueError("grid horizon differs from requested t")
-    n_x, n_s = grid.n_x, grid.n_s
-    ds = grid.ds
-    x = grid.x
-    L = build_spatial_operator(model, grid)
-    values = np.empty((n_s + 1, n_x))
-    term = np.asarray(F_terminal(x), dtype=float)
-    if term.shape != (n_x,):
-        term = np.broadcast_to(np.asarray(F_terminal(x), dtype=float), (n_x,)).copy()
-    values[n_s] = term
+    n_s, x = grid.n_s, grid.x
+    solve = _slice_solver(model, build_spatial_operator(model, grid))
+    values = np.empty((n_s + 1, grid.n_x))
+    values[n_s] = F_terminal(x)  # broadcasts a scalar result
+    term = values[n_s]
 
-    gam_grid = model.alpha * np.asarray(
-        [model.order_field(sj, x) for sj in grid.s], dtype=float
-    )
+    def tables(j, n):
+        return _weight_tables(model.alpha * model.order_field(grid.s[j], x), n, grid.ds)
+
     time_indep = model.order_field.time_independent
-
-    # Precompute per-position weight tables when the exponent field does not
-    # depend on s: T1[m-1] is the interior weight at offset m, T2[m-1] the
-    # terminal-node weight when offset m is the last one.
-    tables = None
     if time_indep:
-        gam_x = gam_grid[0]
-        m_idx = np.arange(1, n_s + 1)
-        A, B = _cell_moments(gam_x[:, None], m_idx[None, :], ds)
-        b0 = ds ** (-gam_x) / (1.0 - gam_x)
-        T1 = np.empty((n_x, n_s))
-        T1[:, 0] = b0 + A[:, 0] - B[:, 0]
-        T1[:, 1:] = B[:, :-1] + A[:, 1:] - B[:, 1:]
-        T2 = np.empty((n_x, n_s))
-        T2[:, 0] = b0
-        T2[:, 1:] = B[:, :-1]
-        tables = (T1, T2)
-
+        W, T, bnd = tables(0, n_s)
     for j in range(n_s - 1, -1, -1):
         M = n_s - j
-        gam_x = gam_grid[j]
-        if tables is not None:
-            T1, T2 = tables
-            w = T1[:, :M].copy()
-            w[:, M - 1] = T2[:, M - 1]
-        else:
-            w = np.empty((n_x, M))
-            uniq, inv = np.unique(gam_x, return_inverse=True)
-            for u_i, gval in enumerate(uniq):
-                tw = build_time_weights(gval, M, ds)
-                w[inv == u_i] = tw.weights
-        boundary = (M * ds) ** (-gam_x) / gam_x
-        rhs = np.einsum("im,mi->i", w, values[j + 1 : j + M + 1]) + boundary * term
-        diag = np.sum(w, axis=1) + boundary
-        A_mat = np.diag(diag) - L
+        if not time_indep:
+            W, T, bnd = tables(j, M)
+        w, last = W[: M - 1], T[M - 1] + bnd[M - 1]
+        rhs = np.einsum("mi,mi->i", w, values[j + 1 : j + M]) + last * term
         try:
-            sol = np.linalg.solve(A_mat, rhs)
+            sol = solve(np.sum(w, axis=0) + last, rhs)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(str(exc)) from exc
         if not np.all(np.isfinite(sol)):

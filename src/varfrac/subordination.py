@@ -156,7 +156,11 @@ def _time_change(model, G, F, x0, s0, t, K, y_edges, v_edges, u_max, n_u):
     if isinstance(G, DensityGrid):
         if F is None:
             at_x0 = np.zeros(len(dy))
-            at_x0[np.searchsorted(y_edges, x0, side="right") - 1] = 1.0
+            start_bin = np.searchsorted(y_edges, x0, side="right") - 1
+            if not 0 <= start_bin < len(dy):
+                raise ValueError(f"x0 = {x0} lies outside the grid's y range "
+                                 f"[{y_edges[0]}, {y_edges[-1]})")
+            at_x0[start_bin] = 1.0
         else:
             at_x0 = float(np.asarray(F(np.atleast_1d(x0)))[0])
         rows = [theta_tail(model, s0, x0, t) * at_x0 / dy]

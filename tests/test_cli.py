@@ -95,6 +95,30 @@ def test_bad_model_exit_2(tmp_path, capsys, change):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("numerics, message", [
+    ({"resolutions": [[64, 8]]}, "resolutions[0] n_s"),
+    ({"resolutions": [["a", 32]]}, "resolutions[0] n_x"),
+    ({"resolutions": [[2, 32]]}, "resolutions[0] n_x"),
+    ({"resolutions": [[64.5, 128]]}, "resolutions[0] n_x"),
+    ({"t": -1.0}, "t must be"),
+    ({"t": "x"}, "t must be"),
+])
+def test_bad_solver_grid_exit_2(tmp_path, capsys, numerics, message):
+    cfg = _write(tmp_path, "bad.json", {**SMALL_CONV, "numerics": numerics})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_halved_grid_exit_2(tmp_path, capsys):
+    # n_x = 5 is a valid fine grid, but the self-convergence grid has 2 points
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "variable-order",
+                                        "seed": 0, "numerics": {"n_x": 5}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "halved grid n_x" in capsys.readouterr().err
+
+
 def test_unknown_experiment_exit_2(tmp_path):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "nope", "seed": 0})
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2

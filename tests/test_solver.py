@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +8,10 @@ import pytest
 from varfrac import oracles, solver
 from varfrac.model import make_model
 
-from conftest import CONSTANT_ORDER
+from conftest import CONSTANT_ORDER, STABLE_HALF, VARIABLE_ORDER
+
+TIME_DEPENDENT = copy.deepcopy(VARIABLE_ORDER)
+TIME_DEPENDENT["order_field"]["freq_t"] = 2.0
 
 
 def test_weights_nonnegative_and_exact_for_linear():
@@ -25,6 +30,18 @@ def test_first_cell_moment_closed_form():
     tw = solver.build_time_weights(0.5, 8, 0.125)
     g = 0.125 * np.arange(9)
     assert np.dot(tw.weights, g[1:] - g[0]) == pytest.approx(2.0 * math.sqrt(1.0), abs=1e-12)
+
+
+def test_build_time_weights_is_a_column_of_the_tables():
+    # the march reads whole (offset, position) tables; one column of them
+    # has the bits of the single-order weights the tests check
+    gammas = np.array([0.2, 0.37, 0.5, 0.55, 0.8])
+    for M in (1, 2, 7, 48):
+        W, T, bnd = solver._weight_tables(gammas, M, 1.0 / 48)
+        for i, gamma in enumerate(gammas):
+            tw = solver.build_time_weights(gamma, M, 1.0 / 48)
+            assert np.array_equal(tw.weights, np.append(W[:, i], T[M - 1, i]))
+            assert tw.boundary_coef == bnd[M - 1, i]
 
 
 def test_right_derivative_constant_vanishes():
@@ -133,21 +150,64 @@ def test_self_convergence_factor(const_model):
 
 
 def test_variable_order_discrete_equation_residual(varorder_model):
-    # the marched field satisfies the discrete balance at every slice
+    # the marched field satisfies the discrete balance at every slice, with
+    # the order read at the slice's own time when it depends on time
     grid = solver.Grid(n_x=32, n_s=48, t=1.0)
-    out = solver.solve_terminal_problem(varorder_model, np.cos, 1.0, grid)
-    L = solver.build_spatial_operator(varorder_model, grid)
-    gam_x = varorder_model.alpha * varorder_model.order_field(0.0, grid.x)
-    for j in (0, 17, 40):
-        M = grid.n_s - j
-        lhs = np.array([
-            solver.apply_right_derivative(
-                solver.build_time_weights(gam_x[i], M, grid.ds), out.values[:, i], j
-            )
-            for i in range(grid.n_x)
-        ])
-        rhs = L @ out.values[j]
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
+    for model in (varorder_model, make_model(TIME_DEPENDENT)):
+        out = solver.solve_terminal_problem(model, np.cos, 1.0, grid)
+        L = solver.build_spatial_operator(model, grid)
+        for j in (0, 17, 40):
+            M = grid.n_s - j
+            gam_x = model.alpha * model.order_field(grid.s[j], grid.x)
+            lhs = np.array([
+                solver.apply_right_derivative(
+                    solver.build_time_weights(gam_x[i], M, grid.ds), out.values[:, i], j
+                )
+                for i in range(grid.n_x)
+            ])
+            rhs = L @ out.values[j]
+            assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("n_x", [3, 4, 5, 64])
+def test_cyclic_solve_matches_dense(n_x):
+    spec = copy.deepcopy(VARIABLE_ORDER)
+    spec["spatial"].update(g={"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 1.0},
+                           g_lo=0.5, g_hi=1.5)
+    model = make_model(spec)
+    L = solver.build_spatial_operator(model, solver.Grid(n_x=n_x, n_s=16, t=1.0))
+    solve = solver._slice_solver(model, L)
+    rng = np.random.default_rng(n_x)
+    for scale in (1e-2, 1.0, 1e3):
+        diag = scale * rng.uniform(0.5, 2.0, n_x)
+        rhs = rng.normal(size=n_x)
+        ref = np.linalg.solve(np.diag(diag) - L, rhs)
+        assert np.max(np.abs(solve(diag, rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_grid_needs_three_points(const_model):
+    with pytest.raises(ValueError, match="3 grid points"):
+        solver.solve_terminal_problem(const_model, np.cos, 1.0, solver.Grid(n_x=2, n_s=16, t=1.0))
+
+
+# Golden digests of the marched field on a small grid, one per path through
+# the march: constant and position-dependent order (one weight table),
+# time-dependent order (tables per slice), and the dense stable operator.
+_FIELD_SHA256 = {
+    "constant": "2d783b4887e98b3076e8cf55a2be1a97768696445f3b1995e0a9d85b9dbda7bb",
+    "variable": "eaeb8b4ffeb705f5e17a9ab435fedee2d1f4cb72af9af6f9305d4bda391128e9",
+    "time-dependent": "fbdaa3eb6490562e8696cd024bc0de2fd687e8ca77962371afef8f39f1a7241b",
+    "stable": "746158a389544ebefdb95beea5749a8ef040f84cf5438ce69706fb7caad26449",
+}
+
+
+@pytest.mark.parametrize("name, spec", [("constant", CONSTANT_ORDER), ("variable", VARIABLE_ORDER),
+                                        ("time-dependent", TIME_DEPENDENT),
+                                        ("stable", STABLE_HALF)])
+def test_field_golden_digest(name, spec):
+    grid = solver.Grid(n_x=32, n_s=48, t=1.0)
+    out = solver.solve_terminal_problem(make_model(spec), np.cos, 1.0, grid)
+    assert hashlib.sha256(out.values.tobytes()).hexdigest() == _FIELD_SHA256[name]
 
 
 def test_time_dependent_order_falls_back(const_model):

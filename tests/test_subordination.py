@@ -168,6 +168,21 @@ def test_empirical_grid_must_cover_horizon(const_model, empirical_G):
         )
 
 
+@pytest.mark.parametrize("x0", [-3.0, 3.0])
+def test_density_start_outside_y_range_raises(stable_model, x0):
+    # the u = 0 start row puts its mass in the bin holding x0; a start off
+    # the grid has no such bin
+    masses = np.full((2, 4, 2), 1.0 / 8.0)
+    G = ctrw.DensityGrid(
+        u_values=np.array([0.5, 1.0]), y_edges=np.linspace(-1.0, 1.0, 5),
+        v_edges=np.linspace(0.0, 1.0, 3), masses=masses, counts=masses * 800,
+        n_traj=800, x0=0.0, s0=0.0, tau=1e-2, seed=0,
+    )
+    subordination.subordinated_density(stable_model, G, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"x0 = .* outside the grid's y range \[-1.0, 1.0\)"):
+        subordination.subordinated_density(stable_model, G, x0, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive discrete recursion
 # ---------------------------------------------------------------------------
