@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from . import ctrw, solver
 from .errors import ConfigError, SchemaMismatch, VarfracError
 from .experiments import CSV_COLUMNS, PRESETS, RUNNERS, evaluate_checks, validate_config
 
@@ -107,6 +108,9 @@ def cmd_run(args):
             json.dump(manifest, fh, indent=2, sort_keys=True)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
 
     results_path = os.path.join(out_dir, "results.csv")
     _write_results(results_path, result.rows)
@@ -116,9 +120,18 @@ def cmd_run(args):
             fh.write(svg)
         manifest["outputs"].append(name)
     if args.dump_trajectories:
-        _dump_trajectories(config, out_dir, args.dump_trajectories, manifest)
+        if result.chain is None:
+            print("trajectory dump: experiment has no chain run; skipped", file=sys.stderr)
+        else:
+            ctrw.dump_trajectories(os.path.join(out_dir, "trajectories.csv"),
+                                   n_traj=args.dump_trajectories, **result.chain)
+            manifest["outputs"].append("trajectories.csv")
     if args.dump_field:
-        _dump_field(config, out_dir, manifest)
+        if result.field is None:
+            print("field dump: experiment has no grid solve; skipped", file=sys.stderr)
+        else:
+            solver.export_csv(result.field, os.path.join(out_dir, "field.csv"))
+            manifest["outputs"].append("field.csv")
     checks = evaluate_checks(config["experiment"], result.rows)
     manifest["checks"] = {c.name: bool(c.passed) for c in checks}
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -127,52 +140,6 @@ def cmd_run(args):
         print(f"[{'PASS' if c.passed else 'FAIL'}] {config['experiment']}: {c.name} ({c.detail})")
     print(f"wrote {results_path}")
     return 0
-
-
-def _dump_trajectories(config, out_dir, n, manifest):
-    """Debug dump of chain paths for experiments that sample one."""
-    from . import ctrw, waiting
-    from .kernels import kernel_family
-    from .model import make_model
-
-    if config["experiment"] not in ("triangulation", "variable-order"):
-        print("trajectory dump: experiment has no chain run; skipped", file=sys.stderr)
-        return
-    model = make_model(config["model"])
-    law = waiting.build_waiting_law(model.gamma_lo, model.gamma_hi)
-    num = config["numerics"]
-    if config["experiment"] == "triangulation":
-        tau, x0 = float(num["mc_tau"]), float(num["x0"])
-    else:
-        point = num["points"][0]
-        tau, x0 = float(point["taus"][-1]), float(point["x0"])
-    path = os.path.join(out_dir, "trajectories.csv")
-    ctrw.dump_trajectories(path, x0, 0.0, float(num["t"]), tau, n, int(config["seed"]),
-                           model=model, kernel_family=kernel_family(model), law=law)
-    manifest["outputs"].append("trajectories.csv")
-
-
-def _dump_field(config, out_dir, manifest):
-    """Export the solved field (x, s, F) for solver-backed experiments."""
-    import numpy as np
-
-    from . import solver
-    from .model import make_model
-
-    if config["experiment"] not in ("triangulation", "variable-order", "solver-convergence"):
-        print("field dump: experiment has no grid solve; skipped", file=sys.stderr)
-        return
-    model = make_model(config["model"])
-    num = config["numerics"]
-    if config["experiment"] == "solver-convergence":
-        n_x, n_s = num["resolutions"][-1]
-    else:
-        n_x, n_s = num["n_x"], num["n_s"]
-    grid = solver.Grid(n_x=int(n_x), n_s=int(n_s), t=float(num["t"]))
-    field = solver.solve_terminal_problem(model, np.cos, float(num["t"]), grid)
-    path = os.path.join(out_dir, "field.csv")
-    solver.export_csv(field, path)
-    manifest["outputs"].append("field.csv")
 
 
 def cmd_compare(args):

@@ -3,7 +3,9 @@ hitting time, and Monte Carlo functionals of the time-changed walk.
 
 One kernel, `_advance`, moves every chain over a fixed-width lane vector: a
 lane carries a trajectory id with its own step count, position and time, and
-takes the next id of its worker's range when its trajectory ends. Step k of
+takes the next id of its worker's range when its trajectory ends. On the
+fixed-step path every lane starts and ends together, so its lanes move in
+lockstep and share one step count. Step k of
 trajectory i reads only the variates keyed by (seed, i, k), so lane width and
 thread count are free to vary. The reduction blocks are fixed: F is summed
 over the same `_CHUNK`-id blocks, combined in block order with exact
@@ -117,6 +119,8 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
     such a lane restarts on the next id, or is dropped once none are left.
     on_step(pos, k, x, s) sees every lane after every step; pos indexes ids.
     """
+    if not 0.0 < float(tau) < math.inf:
+        raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
     n = len(ids)
     h_x = tau ** (1.0 / model.beta)
     x_start = float(x0) if model.dim == 1 else np.asarray(x0, dtype=float)
@@ -170,17 +174,17 @@ def _run_chunk_to_horizon(model, kern, law, x0, s0, t, tau, seed, ids, step_cap)
 
 def _run_chunk_fixed_steps(model, kern, law, x0, s0, tau, seed, ids, step_counts):
     """{count: (x, s) at that step} for trajectories ids, ordered like ids.
-    Every lane ends at the last count, so refills restart the whole vector."""
+    Every lane starts together and ends at the last count, so refills restart
+    the whole vector and all lanes are always on the same step."""
     targets = sorted({int(c) for c in step_counts})
     shape = (len(ids),) + np.shape(x0)
     snaps = {c: (np.empty(shape), np.empty(len(ids))) for c in targets}
 
     def snapshot(pos, k, x, s):
-        for c, (xs, ss) in snaps.items():
-            lanes = k == c
-            if lanes.any():
-                xs[pos[lanes]] = x[lanes]
-                ss[pos[lanes]] = s[lanes]
+        snap = snaps.get(int(k[0]))
+        if snap is not None:
+            snap[0][pos] = x
+            snap[1][pos] = s
 
     last = targets[-1]
     _advance(model, kern, law, x0, s0, tau, seed, ids, lambda k, s: k == last,
@@ -249,6 +253,8 @@ def sample_chain_at_steps(x0, s0, tau, step_counts, n_traj, seed, *, model, kern
 
     Returns {step_count: (x array, s array)} with trajectories in index order.
     """
+    if min(int(c) for c in step_counts) < 1:
+        raise ValueError("every step count must be at least 1")
     parts = _map_ranges(lambda ids: _run_chunk_fixed_steps(
         model, kernel_family, law, x0, s0, tau, seed, ids, step_counts), n_traj, threads)
     return {c: (np.concatenate([p[c][0] for p in parts]),

@@ -139,8 +139,7 @@ def validate_config(config) -> dict:
     if unknown:
         raise ConfigError(f"unknown numerics keys {sorted(unknown)} for {name}")
     merged["numerics"] = {**preset["numerics"], **(config.get("numerics") or {})}
-    _check_trajectory_counts(merged["numerics"])
-    _check_grids(name, merged["numerics"])
+    _check_numerics(name, merged["numerics"])
     if "model" in merged:
         try:
             make_model(merged["model"])
@@ -149,46 +148,73 @@ def validate_config(config) -> dict:
     return merged
 
 
-_TRAJ_KEYS = ("mc_n_traj", "lattice_n_traj", "ks_n_traj", "density_n_traj")
+_MIN_INT = {"mc_n_traj": 100, "lattice_n_traj": 100, "ks_n_traj": 100, "density_n_traj": 100,
+            "lattice_atoms": 1}
+_STEP_KEYS = ("t", "mc_tau", "lattice_tau", "ks_tau", "density_tau", "ks_u")
 
 
-def _check_trajectory_counts(numerics):
-    """Every trajectory count must be an integer of at least 100."""
-    counts = [(key, numerics[key]) for key in _TRAJ_KEYS if key in numerics]
-    points = numerics.get("points", [])
-    if not (isinstance(points, list)
-            and all(isinstance(p, dict) and isinstance(p.get("n_traj"), list) for p in points)):
-        raise ConfigError("points must be a list of objects, each with an n_traj list")
-    counts += [(f"points[{i}].n_traj", n) for i, p in enumerate(points) for n in p["n_traj"]]
-    for name, n in counts:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 100:
-            raise ConfigError(f"{name} must be an integer of at least 100, got {n!r}")
-
-
-def _check_grids(name, numerics):
-    """Every solver grid needs integer n_x >= 3 and n_s >= 16, and the
-    horizon t must be a finite number > 0. variable-order also solves on
-    the halved grid."""
-    t = numerics.get("t", 1.0)
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t < math.inf:
-        raise ConfigError(f"t must be a finite number > 0, got {t!r}")
-    grids = [("", numerics["n_x"], numerics["n_s"])] if "n_x" in numerics else []
-    if "resolutions" in numerics:
-        res = numerics["resolutions"]
-        if not (isinstance(res, list) and res
-                and all(isinstance(r, list) and len(r) == 2 for r in res)):
-            raise ConfigError("resolutions must be a non-empty list of [n_x, n_s] pairs")
-        grids += [(f"resolutions[{i}] ", *r) for i, r in enumerate(res)]
-    for where, n_x, n_s in grids:
-        _check_grid(where, n_x, n_s)
+def _check_numerics(name, num):
+    """Type and range of every numerics entry, so that a bad value is
+    rejected before any work: trajectory counts are integers >= 100, step
+    sizes finite numbers > 0, x0 finite, ladders non-empty lists, and every
+    solver grid, variable-order's halved grid too, has integer n_x >= 3 and
+    n_s >= 16."""
+    for key, lo in _MIN_INT.items():
+        if key in num:
+            _check_int(key, num[key], lo)
+    for key in _STEP_KEYS:
+        if key in num:
+            _check_number(key, num[key], 0.0)
+    if "x0" in num:
+        _check_number("x0", num["x0"])
+    if "ks_u" in num and round(num["ks_u"] / num["ks_tau"]) < 1:
+        raise ConfigError("ks_u / ks_tau must round to at least 1 step")
+    for key, check, *bounds in (("alphas", _check_number, 0.0, 1.0),
+                                ("h_values", _check_number, 0.0), ("points", _check_point),
+                                ("resolutions", _check_grid)):
+        if key in num:
+            _check_list(key, num[key], check, *bounds)
+    if "n_x" in num:
+        _check_grid("grid", [num["n_x"], num["n_s"]])
     if name == "variable-order":
-        _check_grid("halved grid ", numerics["n_x"] // 2, numerics["n_s"] // 2)
+        _check_grid("halved grid", [num["n_x"] // 2, num["n_s"] // 2])
 
 
-def _check_grid(where, n_x, n_s):
-    for key, n, lo in (("n_x", n_x, 3), ("n_s", n_s, 16)):
-        if isinstance(n, bool) or not isinstance(n, int) or n < lo:
-            raise ConfigError(f"{where}{key} must be an integer of at least {lo}, got {n!r}")
+def _check_int(name, n, lo):
+    if isinstance(n, bool) or not isinstance(n, int) or n < lo:
+        raise ConfigError(f"{name} must be an integer of at least {lo}, got {n!r}")
+
+
+def _check_number(name, v, lo=-math.inf, hi=math.inf):
+    """v must be a number (not a bool) inside the open interval (lo, hi)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not lo < v < hi:
+        raise ConfigError(f"{name} must be a number in ({lo:g}, {hi:g}), got {v!r}")
+
+
+def _check_list(name, values, check, *args):
+    """values must be a non-empty list whose entries each pass check."""
+    if not (isinstance(values, list) and values):
+        raise ConfigError(f"{name} must be a non-empty list, got {values!r}")
+    for j, v in enumerate(values):
+        check(f"{name}[{j}]", v, *args)
+
+
+def _check_point(name, point):
+    """One variable-order point: x0, and a step ladder of equal length."""
+    if not isinstance(point, dict):
+        raise ConfigError(f"{name} must be an object")
+    _check_number(f"{name}.x0", point.get("x0"))
+    _check_list(f"{name}.taus", point.get("taus"), _check_number, 0.0)
+    _check_list(f"{name}.n_traj", point.get("n_traj"), _check_int, 100)
+    if len(point["taus"]) != len(point["n_traj"]):
+        raise ConfigError(f"{name}.taus and {name}.n_traj must have the same length")
+
+
+def _check_grid(name, pair):
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError(f"{name} must be an [n_x, n_s] pair, got {pair!r}")
+    _check_int(f"{name} n_x", pair[0], 3)
+    _check_int(f"{name} n_s", pair[1], 16)
 
 
 def _row(experiment, quantity, value, uncertainty=None, **params):
@@ -205,6 +231,8 @@ def _row(experiment, quantity, value, uncertainty=None, **params):
 class ExperimentOutput:
     rows: list
     plots: dict  # filename -> svg string
+    field: solver.Field | None = None  # the solved cos field, for --dump-field
+    chain: dict | None = None  # keywords of a chain run, for --dump-trajectories
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +312,17 @@ def run_triangulation(config, threads=1) -> ExperimentOutput:
 
     law = waiting.build_waiting_law(model.gamma_lo, model.gamma_hi)
     fam = kernel_family(model)
-    est = ctrw.estimate_functional(
-        np.cos, float(num["x0"]), 0.0, t, float(num["mc_tau"]), int(num["mc_n_traj"]),
-        seed, model=model, kernel_family=fam, law=law, threads=threads,
-    )
+    chain = dict(x0=float(num["x0"]), s0=0.0, t=t, tau=float(num["mc_tau"]), seed=seed,
+                 model=model, kernel_family=fam, law=law)
+    est = ctrw.estimate_functional(np.cos, n_traj=int(num["mc_n_traj"]), threads=threads,
+                                   **chain)
     rows.append(_row("triangulation", "mc_value", est.mean, est.std_error,
                      gamma=gamma, tau=num["mc_tau"], x0=num["x0"], n=est.n_traj))
     rows.append(_row("triangulation", "oracle_value_x0",
                      amp * math.cos(float(num["x0"])), gamma=gamma, x0=num["x0"]))
-    est1 = ctrw.estimate_functional(
-        lambda x: np.ones_like(x), float(num["x0"]), 0.0, t, float(num["mc_tau"]),
-        max(int(num["mc_n_traj"]) // 100, 100), seed + 1,
-        model=model, kernel_family=fam, law=law, threads=threads,
-    )
+    est1 = ctrw.estimate_functional(lambda x: np.ones_like(x), threads=threads,
+                                    n_traj=max(int(num["mc_n_traj"]) // 100, 100),
+                                    **{**chain, "seed": seed + 1})
     rows.append(_row("triangulation", "mc_ones", est1.mean, est1.std_error,
                      gamma=gamma, tau=num["mc_tau"]))
 
@@ -314,7 +340,8 @@ def run_triangulation(config, threads=1) -> ExperimentOutput:
          ("reference", list(grid.x), list(exact))],
         title="constant-order profile at s=0", xlabel="x", ylabel="F",
     )
-    return ExperimentOutput(rows=rows, plots={"triangulation.svg": svg})
+    return ExperimentOutput(rows=rows, plots={"triangulation.svg": svg}, field=field,
+                            chain=chain)
 
 
 def run_variable_order(config, threads=1) -> ExperimentOutput:
@@ -335,6 +362,7 @@ def run_variable_order(config, threads=1) -> ExperimentOutput:
     law = waiting.build_waiting_law(model.gamma_lo, model.gamma_hi)
     fam = kernel_family(model)
     plot_series = []
+    chain = None  # the last chain run of the first point, for --dump-trajectories
     for p_idx, point in enumerate(num["points"]):
         x0 = float(point["x0"])
         i_f = int(np.argmin(np.abs(grid_f.x - x0)))
@@ -345,18 +373,19 @@ def run_variable_order(config, threads=1) -> ExperimentOutput:
         rows.append(_row("variable-order", "solver_selfconv", selfconv, x0=x0))
         gaps = []
         for tau, n in zip(point["taus"], point["n_traj"]):
-            est = ctrw.estimate_functional(
-                np.cos, x0, 0.0, t, float(tau), int(n), seed + 97 * p_idx,
-                model=model, kernel_family=fam, law=law, threads=threads,
-            )
+            run = dict(x0=x0, s0=0.0, t=t, tau=float(tau), seed=seed + 97 * p_idx,
+                       model=model, kernel_family=fam, law=law)
+            est = ctrw.estimate_functional(np.cos, n_traj=int(n), threads=threads, **run)
             rows.append(_row("variable-order", "mc_value", est.mean, est.std_error,
                              tau=tau, x0=x0, n=est.n_traj))
             gaps.append((float(tau), abs(est.mean - sol)))
+        chain = chain or run
         if len(gaps) > 1:
             plot_series.append((f"x0={x0:.3f}", [g[0] for g in gaps], [g[1] for g in gaps]))
     svg = svgplot.line_plot(plot_series, title="walk-vs-solver gap along the step ladder",
                             xlabel="tau", ylabel="|gap|", log_x=True, log_y=True)
-    return ExperimentOutput(rows=rows, plots={"variable_order.svg": svg})
+    return ExperimentOutput(rows=rows, plots={"variable_order.svg": svg}, field=field_f,
+                            chain=chain)
 
 
 def run_subordination_identity(config, threads=1) -> ExperimentOutput:
@@ -472,24 +501,22 @@ def run_solver_convergence(config, threads=1) -> ExperimentOutput:
     for i in range(1, len(errs)):
         rows.append(_row("solver-convergence", "refinement_ratio",
                          errs[i][1] / max(errs[i - 1][1], 1e-300), n=errs[i][0]))
-    n_x, n_s = num["resolutions"][-1]
-    grid = solver.Grid(n_x=int(n_x), n_s=int(n_s), t=t)
+    # grid and field are now those of the last resolution
     ones = solver.solve_terminal_problem(model, lambda x: np.ones_like(x), t, grid)
     rows.append(_row("solver-convergence", "conservation_error",
                      float(np.max(np.abs(ones.values - 1.0))), n=n_x))
-    f1 = solver.solve_terminal_problem(model, np.cos, t, grid)
     f2 = solver.solve_terminal_problem(model, np.sin, t, grid)
     f12 = solver.solve_terminal_problem(
         model, lambda x: 2.0 * np.cos(x) - 0.5 * np.sin(x), t, grid
     )
-    lin_err = float(np.max(np.abs(2.0 * f1.values - 0.5 * f2.values - f12.values)))
+    lin_err = float(np.max(np.abs(2.0 * field.values - 0.5 * f2.values - f12.values)))
     rows.append(_row("solver-convergence", "linearity_error", lin_err, n=n_x))
     svg = svgplot.line_plot(
         [("sup error", [e[0] for e in errs], [max(e[1], 1e-16) for e in errs])],
         title="profile error under refinement", xlabel="n_x", ylabel="sup error",
         log_x=True, log_y=True,
     )
-    return ExperimentOutput(rows=rows, plots={"solver_convergence.svg": svg})
+    return ExperimentOutput(rows=rows, plots={"solver_convergence.svg": svg}, field=field)
 
 
 RUNNERS = {

@@ -9,7 +9,6 @@ the kernels, the chain engine, and the grid solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,49 +46,51 @@ class JumpDistribution:
 # ---------------------------------------------------------------------------
 
 
-def diffusion_kernel(model: Model, x) -> JumpDistribution:
-    """Discrete atoms with nonnegative weights whose second moment equals the
-    diffusion matrix at x.
+def _diffusion_atoms(model: Model, x):
+    """Atoms (n, k, d) and weights (k,) of the discrete laws at the n
+    positions x ((n,) in 1-D, (n, 2) in 2-D) whose second moment is G(x).
 
     d=1: atoms +-sqrt(g(x)), weight 1/2 each. d=2: equal-weight atoms along
-    the axes plus one diagonal direction carrying the off-diagonal moment;
-    feasible iff min(G11, G22) >= |G12|.
+    the axes, plus one diagonal pair carrying the off-diagonal moment unless
+    G12 vanishes at every position; feasible iff min(G11, G22) >= |G12|.
     """
-    if not isinstance(model.spatial, Diffusion):
-        raise ValueError("diffusion_kernel requires a diffusion spatial part")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     if model.dim == 1:
-        g = float(model.spatial.g(0.0, x[0]))
-        a = math.sqrt(g)
-        atoms = np.array([[a], [-a]])
-        weights = np.array([0.5, 0.5])
-        return JumpDistribution(kind="discrete", x=x, atoms=atoms, weights=weights)
-
+        a = np.sqrt(np.asarray(model.spatial.g(0.0, x), dtype=float))
+        return np.stack([a, -a], axis=-1)[..., None], np.array([0.5, 0.5])
     G = np.asarray(model.spatial.g(x), dtype=float)
-    g11, g22, g12 = G[0, 0], G[1, 1], G[0, 1]
-    if min(g11, g22) < abs(g12) - 1e-14:
+    g11, g22, g12 = G[..., 0, 0], G[..., 1, 1], G[..., 0, 1]
+    bad = np.flatnonzero(np.minimum(g11, g22) < np.abs(g12) - 1e-14)
+    if len(bad):
+        i = bad[0]
         raise KernelInfeasible(
-            f"off-diagonal {g12} exceeds a diagonal entry of diag({g11}, {g22})"
+            f"off-diagonal {g12[i]} exceeds a diagonal entry of diag({g11[i]}, {g22[i]})"
         )
-    if g12 == 0.0:
+    z = np.zeros_like(g11)
+    if not np.any(g12 != 0.0):
         # Four atoms, weight 1/4: 2*(1/4)*a_i^2 = G_ii.
-        a1 = math.sqrt(2.0 * g11)
-        a2 = math.sqrt(2.0 * g22)
-        atoms = np.array([[a1, 0.0], [-a1, 0.0], [0.0, a2], [0.0, -a2]])
-        weights = np.full(4, 0.25)
+        a1 = np.sqrt(2.0 * g11)
+        a2 = np.sqrt(2.0 * g22)
+        pairs = [(a1, z), (-a1, z), (z, a2), (z, -a2)]
     else:
         # Six atoms, weight 1/6; the diagonal pair matching sign(G12) carries
         # the whole off-diagonal moment: 2*(1/6)*b^2 = |G12|.
-        sgn = 1.0 if g12 > 0 else -1.0
-        a1 = math.sqrt(3.0 * max(g11 - abs(g12), 0.0))
-        a2 = math.sqrt(3.0 * max(g22 - abs(g12), 0.0))
-        b = math.sqrt(3.0 * abs(g12))
-        diag = np.array([b, sgn * b])
-        atoms = np.array(
-            [[a1, 0.0], [-a1, 0.0], [0.0, a2], [0.0, -a2], diag, -diag]
-        )
-        weights = np.full(6, 1.0 / 6.0)
-    return JumpDistribution(kind="discrete", x=x, atoms=atoms, weights=weights)
+        a1 = np.sqrt(3.0 * np.maximum(g11 - np.abs(g12), 0.0))
+        a2 = np.sqrt(3.0 * np.maximum(g22 - np.abs(g12), 0.0))
+        b = np.sqrt(3.0 * np.abs(g12))
+        sb = np.where(g12 >= 0.0, b, -b)
+        pairs = [(a1, z), (-a1, z), (z, a2), (z, -a2), (b, sb), (-b, -sb)]
+    atoms = np.stack([np.stack(p, axis=-1) for p in pairs], axis=-2)
+    return atoms, np.full(len(pairs), 1.0 / len(pairs))
+
+
+def diffusion_kernel(model: Model, x) -> JumpDistribution:
+    """Discrete atoms with nonnegative weights whose second moment equals the
+    diffusion matrix at x (see `_diffusion_atoms`)."""
+    if not isinstance(model.spatial, Diffusion):
+        raise ValueError("diffusion_kernel requires a diffusion spatial part")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    atoms, weights = _diffusion_atoms(model, x[None, :] if model.dim == 2 else x[:1])
+    return JumpDistribution(kind="discrete", x=x, atoms=atoms[0], weights=weights)
 
 
 def stable_kernel(model: Model, x, threshold: float | None = None) -> JumpDistribution:
@@ -139,7 +140,6 @@ class DiffusionKernelFamily:
         if not isinstance(model.spatial, Diffusion):
             raise ValueError("diffusion family requires a diffusion spatial part")
         self.model = model
-        self.dim = model.dim
 
     def at(self, x) -> JumpDistribution:
         return diffusion_kernel(self.model, x)
@@ -147,46 +147,12 @@ class DiffusionKernelFamily:
     def sample(self, x, u):
         """One jump per row of x, driven by one uniform per row."""
         u = np.asarray(u, dtype=float)
-        if self.dim == 1:
-            g = np.asarray(self.model.spatial.g(0.0, x), dtype=float)
-            return np.where(u < 0.5, -np.sqrt(g), np.sqrt(g))
-        G = np.asarray(self.model.spatial.g(x), dtype=float)
-        g11, g22, g12 = G[..., 0, 0], G[..., 1, 1], G[..., 0, 1]
-        if np.any(np.minimum(g11, g22) < np.abs(g12) - 1e-14):
-            raise KernelInfeasible("off-diagonal moment exceeds a diagonal entry")
-        off = np.any(g12 != 0.0)
-        n_groups = 6 if off else 4
-        idx = np.minimum((u * n_groups).astype(np.int64), n_groups - 1)
-        if off:
-            a1 = np.sqrt(3.0 * np.maximum(g11 - np.abs(g12), 0.0))
-            a2 = np.sqrt(3.0 * np.maximum(g22 - np.abs(g12), 0.0))
-            b = np.sqrt(3.0 * np.abs(g12))
-            sgn = np.where(g12 >= 0.0, 1.0, -1.0)
-            cand = np.stack(
-                [
-                    np.stack([a1, np.zeros_like(a1)], axis=-1),
-                    np.stack([-a1, np.zeros_like(a1)], axis=-1),
-                    np.stack([np.zeros_like(a2), a2], axis=-1),
-                    np.stack([np.zeros_like(a2), -a2], axis=-1),
-                    np.stack([b, sgn * b], axis=-1),
-                    np.stack([-b, -sgn * b], axis=-1),
-                ],
-                axis=0,
-            )
-        else:
-            a1 = np.sqrt(2.0 * g11)
-            a2 = np.sqrt(2.0 * g22)
-            z = np.zeros_like(a1)
-            cand = np.stack(
-                [
-                    np.stack([a1, z], axis=-1),
-                    np.stack([-a1, z], axis=-1),
-                    np.stack([z, a2], axis=-1),
-                    np.stack([z, -a2], axis=-1),
-                ],
-                axis=0,
-            )
-        return np.take_along_axis(cand, idx[None, :, None], axis=0)[0]
+        if self.model.dim == 1:
+            a = np.sqrt(np.asarray(self.model.spatial.g(0.0, x), dtype=float))
+            return np.where(u < 0.5, -a, a)
+        atoms, weights = _diffusion_atoms(self.model, x)
+        idx = np.minimum((u * len(weights)).astype(np.int64), len(weights) - 1)
+        return np.take_along_axis(atoms, idx[:, None, None], axis=1)[:, 0]
 
 
 class StableKernelFamily:
@@ -196,7 +162,6 @@ class StableKernelFamily:
         if not isinstance(model.spatial, Stable1D):
             raise ValueError("stable family requires a jump spatial part")
         self.model = model
-        self.dim = 1
         self.beta = model.spatial.beta
 
     def at(self, x) -> JumpDistribution:
@@ -225,20 +190,21 @@ def kernel_family(model: Model):
 # ---------------------------------------------------------------------------
 
 
-def apply_approx_generator(kernel: JumpDistribution, tau: float, f, x, beta: float) -> float:
-    """Small-step generator (1/tau) int (f(x + tau^(1/beta) z) - f(x)) p(x, dz).
+def apply_approx_generator(kernel: JumpDistribution, tau: float, f, x) -> float:
+    """Small-step generator (1/tau) int (f(x + tau^(1/beta) z) - f(x)) p(x, dz),
+    with beta = 2 for a discrete kernel and the kernel's own beta otherwise.
 
     Exact atom sum for discrete kernels; adaptive quadrature (symmetrized, so
     odd integrands vanish identically) for the power-tail kernel.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    beta = 2.0 if kernel.kind == "discrete" else kernel.beta
     h = tau ** (1.0 / beta)
     if kernel.kind == "discrete":
         vals = [w * (f(x + h * z) - f(x)) for z, w in zip(kernel.atoms, kernel.weights)]
         return float(np.asarray(sum(vals)).reshape(-1)[0]) / tau
     x0 = float(x[0])
     B = kernel.threshold
-    beta_k = kernel.beta
     coef = kernel.tail_coef
     eta = kernel.head_height
 
@@ -255,10 +221,10 @@ def apply_approx_generator(kernel: JumpDistribution, tau: float, f, x, beta: flo
     # the tail in closed form.
     Z = max(60.0 / h, 20.0 * B)
     v1, e1 = integrate.quad(
-        lambda z: sym(z) * z ** (-1.0 - beta_k), B, Z,
+        lambda z: sym(z) * z ** (-1.0 - beta), B, Z,
         limit=800, epsabs=1e-12, epsrel=1e-11, points=[min(1.0 / h, Z / 2.0)],
     )
-    tail = sym(2.0 * Z) * Z ** (-beta_k) / beta_k
+    tail = sym(2.0 * Z) * Z ** (-beta) / beta
     total += coef * (v1 + tail)
     err_total += coef * e1
     if err_total / tau > 1e-8:
@@ -313,11 +279,7 @@ def generator_residual(model: Model, tau: float, f_set, x_grid) -> float:
     worst = 0.0
     for f in f_set:
         for x in np.atleast_1d(np.asarray(x_grid, dtype=float)):
-            kern = fam.at(x)
-            if kern.kind == "discrete":
-                approx = apply_approx_generator(kern, tau, f.fn, x, 2.0)
-            else:
-                approx = apply_approx_generator(kern, tau, f.fn, x, model.spatial.beta)
+            approx = apply_approx_generator(fam.at(x), tau, f.fn, x)
             exact = limit_generator(model, f, x)
             worst = max(worst, abs(exact - approx))
     return worst

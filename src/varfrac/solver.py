@@ -55,9 +55,6 @@ class Field:
     grid: Grid
     values: np.ndarray  # (n_s + 1, n_x)
 
-    def at_start(self) -> np.ndarray:
-        return self.values[0]
-
 
 @dataclass(frozen=True)
 class TimeWeights:
@@ -75,13 +72,16 @@ class TimeWeights:
 
 def _cell_moments(gamma, m_idx, ds):
     """A_m = int over cell m of r^(-1-gamma), B_m = same against the local
-    linear ramp (r - m ds)/ds; closed forms, inputs must broadcast."""
+    linear ramp (r - m ds)/ds; closed forms for a scalar gamma."""
     gamma = np.asarray(gamma, dtype=float)
     m = np.asarray(m_idx, dtype=float)
     lo = m * ds
     hi = (m + 1.0) * ds
     A = (lo ** (-gamma) - hi ** (-gamma)) / gamma
-    mom1 = (hi ** (1.0 - gamma) - lo ** (1.0 - gamma)) / (1.0 - gamma)
+    if gamma == 1.0:  # int over the cell of r^(-1) is log(hi / lo)
+        mom1 = np.log1p(1.0 / m)
+    else:
+        mom1 = (hi ** (1.0 - gamma) - lo ** (1.0 - gamma)) / (1.0 - gamma)
     B = mom1 / ds - m * A
     return A, B
 

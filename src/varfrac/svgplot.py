@@ -82,7 +82,7 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False, log_y=False):
     else:
         tick_x = _ticks_linear(x_lo, x_hi)
     for v in tick_x:
-        x = px(v) if not log_x else _ML + (math.log10(v) - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        x = px(v)
         parts.append(f'<line x1="{x:.1f}" y1="{_H - _MB}" x2="{x:.1f}" y2="{_H - _MB + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{x:.1f}" y="{_H - _MB + 18}" text-anchor="middle" font-size="11">{v:.3g}</text>'
@@ -92,7 +92,7 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False, log_y=False):
     else:
         tick_y = _ticks_linear(y_lo, y_hi)
     for v in tick_y:
-        y = py(v) if not log_y else _H - _MB - (math.log10(v) - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        y = py(v)
         parts.append(f'<line x1="{_ML - 5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="black"/>')
         parts.append(
             f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end" font-size="11">{v:.3g}</text>'

@@ -34,7 +34,6 @@ class WaitingLaw:
     B: float
     gamma_lo: float
     gamma_hi: float
-    head_kind: str = "uniform"
 
     def tail_mass(self, gamma):
         return _tail_mass(self.B, gamma)

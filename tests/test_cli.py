@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -50,6 +52,39 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "results.csv" in manifest["outputs"]
     svg = (out / "triangulation.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+# SHA-256 of the dump files of SMALL_TRI, recorded before the dumps were
+# taken from the run's own solve and chain.
+_FIELD_SHA256 = "caf9e4422b803c0116af32a0e967398443698ea9ec224e586499fa3b10090b49"
+_TRAJECTORIES_SHA256 = "b7002771ea08bc41719f53eae77b9f64f65904f2832c521e808892689516a47d"
+
+
+def test_dump_flags_golden_digest(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", SMALL_TRI)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--threads", "1", "--out", str(out),
+                 "--dump-field", "--dump-trajectories", "3"]) == 0
+    assert hashlib.sha256((out / "field.csv").read_bytes()).hexdigest() == _FIELD_SHA256
+    assert (hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest()
+            == _TRAJECTORIES_SHA256)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["results.csv", "triangulation.svg", "trajectories.csv",
+                                   "field.csv"]
+
+
+def test_dump_flags_skipped_without_chain_or_solve(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, "experiment": "rate-check",
+                                        "seed": 0, "numerics": {"alphas": [0.5],
+                                                                "h_values": [0.1, 0.05]}})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--dump-field",
+                 "--dump-trajectories", "3"]) == 0
+    err = capsys.readouterr().err
+    assert "trajectory dump: experiment has no chain run; skipped" in err
+    assert "field dump: experiment has no grid solve; skipped" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["results.csv", "rate_check.svg"]
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
@@ -109,6 +144,44 @@ def test_bad_solver_grid_exit_2(tmp_path, capsys, numerics, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, numerics, message", [
+    ("triangulation", {"mc_tau": 0}, "mc_tau must be"),
+    ("triangulation", {"mc_tau": "x"}, "mc_tau must be"),
+    ("triangulation", {"x0": "a"}, "x0 must be"),
+    ("triangulation", {"x0": math.nan}, "x0 must be"),
+    ("subordination-identity", {"ks_u": 1e-4}, "ks_u / ks_tau"),
+    ("subordination-identity", {"density_tau": -1e-3}, "density_tau must be"),
+    ("subordination-identity", {"lattice_atoms": 0}, "lattice_atoms must be"),
+    ("rate-check", {"h_values": []}, "h_values must be"),
+    ("rate-check", {"h_values": [0.1, math.inf]}, "h_values[1] must be"),
+    ("rate-check", {"alphas": [1.5]}, "alphas[0] must be"),
+    ("rate-check", {"alphas": 0.5}, "alphas must be"),
+    ("variable-order", {"points": []}, "points must be"),
+    ("variable-order", {"points": [{"x0": 0.0, "taus": [0.1, 0.05], "n_traj": [200]}]},
+     "same length"),
+    ("variable-order", {"points": [{"x0": 0.0, "taus": [0.0], "n_traj": [200]}]},
+     "points[0].taus[0] must be"),
+])
+def test_bad_numerics_exit_2(tmp_path, capsys, experiment, numerics, message):
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": experiment,
+                                        "seed": 0, "numerics": numerics})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_runner_value_error_exit_2(tmp_path, capsys):
+    # density_tau = 0.01 gives the first histogram time only 10 chain steps
+    numerics = {"lattice_n_traj": 100, "ks_n_traj": 100, "density_n_traj": 100,
+                "density_tau": 0.01}
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "seed": 0, "numerics": numerics,
+                                        "experiment": "subordination-identity"})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "at least 100 steps" in err and "Traceback" not in err
 
 
 def test_bad_halved_grid_exit_2(tmp_path, capsys):

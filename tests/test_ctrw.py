@@ -307,3 +307,30 @@ def test_estimator_rejects_non_finite_functional(const_setup):
     with pytest.raises(NonFiniteFunctional), np.errstate(divide="ignore", invalid="ignore"):
         ctrw.estimate_functional(lambda x: x / 0.0, 0.0, 0.0, 1.0, 0.05, 500, 9,
                                  model=model, kernel_family=fam, law=law)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.nan, math.inf])
+def test_chain_entry_points_reject_bad_tau(const_setup, tmp_path, tau):
+    # tau = 0 never advances the accumulated time, so the chain never ends
+    model, fam, law = const_setup
+    kw = dict(model=model, kernel_family=fam, law=law)
+    calls = [
+        lambda: ctrw.estimate_functional(np.cos, 0.0, 0.0, 1.0, tau, 200, 1, **kw),
+        lambda: ctrw.sample_hitting(0.0, 0.0, 1.0, tau, 200, 1, **kw),
+        lambda: ctrw.run_to_horizon(0.0, 0.0, 1.0, tau, model, fam, law,
+                                    TrajectoryStream(seed=1, traj_index=0)),
+        lambda: ctrw.dump_trajectories(tmp_path / "t.csv", 0.0, 0.0, 1.0, tau, 2, 1, **kw),
+        lambda: ctrw.sample_chain_at_steps(0.0, 0.0, tau, [5], 200, 1, **kw),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tau must be a finite number > 0"):
+            call()
+
+
+@pytest.mark.parametrize("steps", [[0], [5, -1]])
+def test_fixed_steps_reject_step_count_below_one(const_setup, steps):
+    # no lane ever reaches step 0, so the fixed-step run would never end
+    model, fam, law = const_setup
+    with pytest.raises(ValueError, match="at least 1"):
+        ctrw.sample_chain_at_steps(0.0, 0.0, 0.01, steps, 200, 1,
+                                   model=model, kernel_family=fam, law=law)

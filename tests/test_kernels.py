@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_apply_generator_quadratic_exact():
                 "g_lo": 1.7, "g_hi": 1.7})
     k = kr.diffusion_kernel(m, 0.4)
     for tau in (1.0, 0.3, 1e-3):
-        assert kr.apply_approx_generator(k, tau, lambda y: y**2, 0.4, 2.0) == pytest.approx(
+        assert kr.apply_approx_generator(k, tau, lambda y: y**2, 0.4) == pytest.approx(
             1.7, rel=1e-12
         )
 
@@ -98,7 +99,7 @@ def test_apply_generator_constant_zero():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                 "g_lo": 1.0, "g_hi": 1.0})
     k = kr.diffusion_kernel(m, 0.0)
-    assert kr.apply_approx_generator(k, 0.1, lambda y: 3.0 * np.ones_like(y), 0.0, 2.0) == 0.0
+    assert kr.apply_approx_generator(k, 0.1, lambda y: 3.0 * np.ones_like(y), 0.0) == 0.0
 
 
 def test_apply_generator_sin_limit():
@@ -107,8 +108,8 @@ def test_apply_generator_sin_limit():
                 "g_lo": 1.0, "g_hi": 1.0})
     x = 0.9
     k = kr.diffusion_kernel(m, x)
-    v1 = kr.apply_approx_generator(k, 2e-3, np.sin, x, 2.0)
-    v2 = kr.apply_approx_generator(k, 1e-3, np.sin, x, 2.0)
+    v1 = kr.apply_approx_generator(k, 2e-3, np.sin, x)
+    v2 = kr.apply_approx_generator(k, 1e-3, np.sin, x)
     extrap = 2.0 * v2 - v1
     assert extrap == pytest.approx(-0.5 * math.sin(x), abs=1e-8)
 
@@ -117,11 +118,11 @@ def test_generator_odd_function_vanishes(stable_model):
     m1 = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                  "g_lo": 1.0, "g_hi": 1.0})
     k1 = kr.diffusion_kernel(m1, 0.7)
-    val = kr.apply_approx_generator(k1, 0.1, lambda y: (y - 0.7) ** 3, 0.7, 2.0)
+    val = kr.apply_approx_generator(k1, 0.1, lambda y: (y - 0.7) ** 3, 0.7)
     assert abs(val) < 1e-12
     ks = kr.stable_kernel(stable_model, 0.0)
     odd = lambda y: (y) * np.exp(-(y**2))
-    assert abs(kr.apply_approx_generator(ks, 0.1, odd, 0.0, 0.5)) < 1e-12
+    assert abs(kr.apply_approx_generator(ks, 0.1, odd, 0.0)) < 1e-12
 
 
 def test_generator_residual_quadratic_zero():
@@ -155,3 +156,44 @@ def test_family_matches_anchored_kernel(varorder_model):
     z = fam.sample(np.array([0.3, 0.3]), np.array([0.2, 0.8]))
     assert z[0] == -z[1]
     assert abs(z[0]) == pytest.approx(abs(k.atoms[0, 0]))
+
+
+# Golden SHA-256 digest of the diffusion atom laws, recorded before the scalar
+# and the vectorized atom construction were merged into one builder: 2-D
+# sampler draws with G12 zero, positive and negative under a position-dependent
+# scale, 1-D draws under a position-dependent g, and anchored atoms.
+_ATOMS_SHA256 = "768c3cdd8a94b47a7c393e13ffda9ed4a89220a14120726b56bbeaee6e8a2c43"
+
+_SCALE_2D = {"kind": "trig", "base": 1.0, "amp": 0.3, "freq_x": [1.0, 0.5], "freq_t": 0.0}
+
+
+def _atom_law_outputs():
+    rng = np.random.default_rng(5)
+    x2 = rng.uniform(-3.0, 3.0, (500, 2))
+    x1 = rng.uniform(-3.0, 3.0, 500)
+    u = np.concatenate([[0.0, 0.25, 0.5, 1.0 - 1e-16], rng.uniform(0.0, 1.0, 496)])
+    models = [
+        _model({"kind": "diffusion", "g_matrix": base, "g": _SCALE_2D, "g_lo": lo, "g_hi": hi},
+               dim=2)
+        for base, lo, hi in (([[1.0, 0.0], [0.0, 2.0]], 0.5, 3.0),
+                             ([[1.0, 0.5], [0.5, 1.0]], 0.3, 2.0),
+                             ([[1.2, -0.4], [-0.4, 0.9]], 0.4, 2.0))
+    ]
+    models.append(_model({"kind": "diffusion", "g": {"kind": "trig", "base": 1.0, "amp": 0.4},
+                          "g_lo": 0.6, "g_hi": 1.4}))
+    out = []
+    for m in models:
+        fam = kr.kernel_family(m)
+        x = x2 if m.dim == 2 else x1
+        out.append(fam.sample(x, u))
+        for xi in x[:7]:
+            k = kr.diffusion_kernel(m, xi)
+            out += [k.atoms, k.weights]
+    return out
+
+
+def test_diffusion_atoms_golden_digest():
+    digest = hashlib.sha256()
+    for a in _atom_law_outputs():
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == _ATOMS_SHA256

@@ -253,3 +253,17 @@ def test_export_csv(tmp_path, const_model):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,s,F"
     assert len(lines) == 1 + 8 * 17
+
+
+def test_stable_operator_at_beta_one():
+    # Cauchy jumps: the cell moment of r^(-beta) is a logarithm at beta = 1
+    spec = copy.deepcopy(STABLE_HALF)
+    spec["spatial"]["beta"] = 1.0
+    model = make_model(spec)
+    grid = solver.Grid(n_x=48, n_s=32, t=1.0)
+    L = solver.build_spatial_operator(model, grid)
+    assert np.all(np.isfinite(L))
+    assert np.max(np.abs(L.sum(axis=1))) < 1e-8
+    out = solver.solve_terminal_problem(model, np.cos, 1.0, grid)
+    assert np.all(np.isfinite(out.values))
+    assert out.values.min() >= -1.0 - 1e-12 and out.values.max() <= 1.0 + 1e-12
