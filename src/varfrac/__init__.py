@@ -19,23 +19,8 @@ from . import (
     subordination,
     waiting,
 )
-from .ctrw import (
-    ChainState,
-    DensityGrid,
-    MCEstimate,
-    empirical_transition_density,
-    estimate_functional,
-    run_to_horizon,
-    step_chain,
-)
-from .kernels import (
-    JumpDistribution,
-    apply_approx_generator,
-    diffusion_kernel,
-    generator_residual,
-    kernel_family,
-    stable_kernel,
-)
+from .ctrw import DensityGrid, MCEstimate, empirical_transition_density, estimate_functional
+from .kernels import apply_approx_generator, generator_residual, kernel_family
 from .model import Model, gamma_at, make_model
 from .oracles import constant_order_solution, mittag_leffler, subordinator_cdf
 from .solver import (
@@ -60,8 +45,6 @@ from .waiting import (
     build_waiting_law,
     check_rate,
     discretize_waiting_law,
-    sample_waiting,
-    tail_prob,
 )
 
 __version__ = "0.1.0"

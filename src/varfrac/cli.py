@@ -37,20 +37,25 @@ def _write_results(path, rows):
 
 
 def read_results(path):
+    """Rows of a results.csv; SchemaMismatch for any file that is not one
+    (no header, a foreign header, a short row, bytes that are not UTF-8, or
+    a cell that is not a number)."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_COLUMNS:
-            raise SchemaMismatch(f"{path}: unexpected header {header}")
-        for rec in reader:
-            row = {}
-            for col, cell in zip(CSV_COLUMNS, rec):
-                if col in ("experiment", "quantity"):
-                    row[col] = cell
-                else:
-                    row[col] = float(cell) if cell else None
-            rows.append(row)
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise SchemaMismatch(f"{path}: unexpected header {header}")
+            for rec in reader:
+                if len(rec) != len(CSV_COLUMNS):
+                    raise SchemaMismatch(f"{path}: row {reader.line_num} has {len(rec)} cells")
+                row = dict(zip(CSV_COLUMNS, rec))
+                for col in CSV_COLUMNS[2:]:
+                    row[col] = float(row[col]) if row[col] else None
+                rows.append(row)
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise SchemaMismatch(f"{path}: {exc}") from exc
     return rows
 
 
@@ -214,6 +219,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "run" and not args.config and not args.preset:
         parser.error("run requires a config path or --preset")
+    if args.command == "run" and args.dump_trajectories < 0:
+        parser.error("--dump-trajectories must be at least 0")
     return args.func(args)
 
 

@@ -22,21 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteFunctional, StepBudgetExceeded
-from .model import Model, gamma_at
-from .streams import TrajectoryStream, uniforms
+from .streams import uniforms
 
 DEFAULT_STEP_CAP = 10**8
 _CHUNK = 4096  # ids per reduction block and per cut between worker ranges
 _LANES = 16384  # lane-vector width of one worker
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """One enhanced-chain state: position, accumulated waiting time, step count."""
-
-    x: np.ndarray
-    s: float
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -66,48 +56,6 @@ class DensityGrid:
     s0: float
     tau: float
     seed: int
-
-    def density(self, i: int) -> np.ndarray:
-        dy = np.diff(self.y_edges)
-        dv = np.diff(self.v_edges)
-        vol = dy[:, None] * dv[None, :]
-        return self.masses[i] / vol
-
-
-def step_chain(state: ChainState, tau, model: Model, kernel_family, law, u_jump, u_wait):
-    """One transition of the enhanced chain.
-
-    The waiting increment is tau^(1/(alpha a(s, x))) * r with the order field
-    read at the pre-step state, and the spatial increment is tau^(1/beta) * y;
-    both coordinates move jointly.
-    """
-    x = np.atleast_1d(np.asarray(state.x, dtype=float))
-    gam = float(gamma_at(model, state.s, x[0] if model.dim == 1 else x))
-    r = float(law.sample(gam, u_wait))
-    s_new = state.s + float(np.power(tau, 1.0 / gam)) * r
-    if model.dim == 1:
-        y = kernel_family.sample(x, np.asarray([u_jump]))
-        x_new = x + tau ** (1.0 / model.beta) * np.asarray(y)
-    else:
-        y = kernel_family.sample(x[None, :], np.asarray([u_jump]))[0]
-        x_new = x + tau ** (1.0 / model.beta) * y
-    return ChainState(x=x_new, s=s_new, k=state.k + 1)
-
-
-def run_to_horizon(x0, s0, t, tau, model: Model, kernel_family, law,
-                   seed_stream: TrajectoryStream, step_cap: int = DEFAULT_STEP_CAP):
-    """Iterate until the accumulated waiting time first reaches t.
-
-    Returns (position at that step, hitting step time k*tau, step count).
-    The position reported is the one updated jointly with the crossing
-    waiting increment. The walk reads seed_stream's trajectory from step 1;
-    it is the ensemble kernel run on a single lane.
-    """
-    if t <= s0:
-        raise ValueError("horizon must exceed the initial accumulated time")
-    xs, ks = _run_chunk_to_horizon(model, kernel_family, law, x0, s0, t, tau,
-                                   seed_stream.seed, seed_stream.traj, step_cap)
-    return xs[0], int(ks[0]) * tau, int(ks[0])
 
 
 def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
@@ -206,6 +154,8 @@ def _map_ranges(fn, n_traj, threads):
 
 
 def _hitting(x0, s0, t, tau, n_traj, seed, model, kern, law, threads, step_cap):
+    if t <= s0:
+        raise ValueError("horizon must exceed the initial accumulated time")
     parts = _map_ranges(lambda ids: _run_chunk_to_horizon(
         model, kern, law, x0, s0, t, tau, seed, ids, step_cap), n_traj, threads)
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])

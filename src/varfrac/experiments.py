@@ -120,6 +120,12 @@ PRESETS = {
 
 _TOP_KEYS = {"schema_version", "experiment", "seed", "model", "numerics", "output_dir"}
 
+# Elapsed times of subordination-identity's pair histogram; the first must
+# give at least 100 chain steps at density_tau.
+_DENSITY_U_GRID = np.concatenate([
+    np.arange(0.1, 0.5, 0.025), np.arange(0.5, 1.0, 0.05), np.arange(1.0, 2.55, 0.1),
+])
+
 
 def validate_config(config) -> dict:
     if not isinstance(config, dict):
@@ -127,18 +133,26 @@ def validate_config(config) -> dict:
     unknown = set(config) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    if config.get("schema_version") != 1:
+    version = config.get("schema_version")
+    if type(version) is not int or version != 1:
         raise ConfigError("config schema_version must be 1")
     name = config.get("experiment")
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown experiment {name!r}; run `varfrac presets` for the list")
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(config.get("numerics", {}), dict):
+        raise ConfigError(f"numerics must be an object, got {config['numerics']!r}")
+    if not isinstance(config.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
     preset = PRESETS[name]
     merged = {k: config.get(k, preset.get(k)) for k in _TOP_KEYS if k in preset or k in config}
     known_numerics = set(preset["numerics"])
     unknown = set(merged.get("numerics", {})) - known_numerics
     if unknown:
         raise ConfigError(f"unknown numerics keys {sorted(unknown)} for {name}")
-    merged["numerics"] = {**preset["numerics"], **(config.get("numerics") or {})}
+    merged["numerics"] = {**preset["numerics"], **config.get("numerics", {})}
     _check_numerics(name, merged["numerics"])
     if "model" in merged:
         try:
@@ -156,9 +170,9 @@ _STEP_KEYS = ("t", "mc_tau", "lattice_tau", "ks_tau", "density_tau", "ks_u")
 def _check_numerics(name, num):
     """Type and range of every numerics entry, so that a bad value is
     rejected before any work: trajectory counts are integers >= 100, step
-    sizes finite numbers > 0, x0 finite, ladders non-empty lists, and every
-    solver grid, variable-order's halved grid too, has integer n_x >= 3 and
-    n_s >= 16."""
+    sizes finite numbers > 0 (density_tau small enough for the histogram),
+    x0 finite, ladders non-empty lists, and every solver grid,
+    variable-order's halved grid too, has integer n_x >= 3 and n_s >= 16."""
     for key, lo in _MIN_INT.items():
         if key in num:
             _check_int(key, num[key], lo)
@@ -169,6 +183,9 @@ def _check_numerics(name, num):
         _check_number("x0", num["x0"])
     if "ks_u" in num and round(num["ks_u"] / num["ks_tau"]) < 1:
         raise ConfigError("ks_u / ks_tau must round to at least 1 step")
+    if "density_tau" in num and round(_DENSITY_U_GRID[0] / num["density_tau"]) < 100:
+        raise ConfigError("density_tau must give at least 100 steps at the first histogram "
+                          f"time u = {_DENSITY_U_GRID[0]:g}")
     for key, check, *bounds in (("alphas", _check_number, 0.0, 1.0),
                                 ("h_values", _check_number, 0.0), ("points", _check_point),
                                 ("resolutions", _check_grid)):
@@ -441,12 +458,9 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
     h_lat = math.sqrt(tau_d)  # positions live on this lattice (g = 1)
     m = 32
     y_edges = h_lat * (8.0 * np.arange(-m, m + 1) + 4.5)
-    u_grid = np.concatenate([
-        np.arange(0.1, 0.5, 0.025), np.arange(0.5, 1.0, 0.05), np.arange(1.0, 2.55, 0.1),
-    ])
     v_edges = np.concatenate([np.linspace(0.0, t, 51), [1.5 * t, np.inf]])
     G = ctrw.empirical_transition_density(
-        0.0, 0.0, tau_d, u_grid, y_edges, v_edges, int(num["density_n_traj"]), seed + 13,
+        0.0, 0.0, tau_d, _DENSITY_U_GRID, y_edges, v_edges, int(num["density_n_traj"]), seed + 13,
         model=model, kernel_family=fam, law=law, threads=threads,
     )
     r_one = subordination.subordinated_expectation(

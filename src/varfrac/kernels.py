@@ -1,8 +1,10 @@
 """Symmetric spatial jump laws and their small-step generators.
 
-Discrete atom systems match the second moments of the diffusion coefficient
-exactly; the one-dimensional jump law of index beta carries an exact power
-tail m(x)|z|^(-1-beta). All limit operators are taken in the jump form
+A kernel family is the jump law at every position. Discrete atom systems
+match the second moments of the diffusion coefficient exactly; the
+one-dimensional jump law of index beta is the pure power law
+m(x)|z|^(-1-beta) beyond the smallest threshold that carries all its mass.
+All limit operators are taken in the jump form
 int (f(x+y) - f(x)) m(x)|y|^(-1-beta) dy, which fixes one normalization for
 the kernels, the chain engine, and the grid solver.
 """
@@ -14,36 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import InvalidTailMass, KernelInfeasible, QuadratureFailure
+from .errors import KernelInfeasible, QuadratureFailure
 from .model import Diffusion, Model, Stable1D
-
-
-@dataclass(frozen=True)
-class JumpDistribution:
-    """A symmetric jump law anchored at a position x.
-
-    kind "discrete": atoms (k, d) with weights (k,).
-    kind "pareto1d": tails coef * |z|^(-1-beta) beyond threshold, uniform head.
-    """
-
-    kind: str
-    x: np.ndarray
-    atoms: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    beta: float | None = None
-    tail_coef: float | None = None
-    threshold: float | None = None
-    head_height: float | None = None
-
-    def second_moment(self) -> np.ndarray:
-        if self.kind != "discrete":
-            raise ValueError("second_moment is defined for discrete kernels")
-        return np.einsum("k,ki,kj->ij", self.weights, self.atoms, self.atoms)
-
-
-# ---------------------------------------------------------------------------
-# construction
-# ---------------------------------------------------------------------------
 
 
 def _diffusion_atoms(model: Model, x):
@@ -83,52 +57,8 @@ def _diffusion_atoms(model: Model, x):
     return atoms, np.full(len(pairs), 1.0 / len(pairs))
 
 
-def diffusion_kernel(model: Model, x) -> JumpDistribution:
-    """Discrete atoms with nonnegative weights whose second moment equals the
-    diffusion matrix at x (see `_diffusion_atoms`)."""
-    if not isinstance(model.spatial, Diffusion):
-        raise ValueError("diffusion_kernel requires a diffusion spatial part")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    atoms, weights = _diffusion_atoms(model, x[None, :] if model.dim == 2 else x[:1])
-    return JumpDistribution(kind="discrete", x=x, atoms=atoms[0], weights=weights)
-
-
-def stable_kernel(model: Model, x, threshold: float | None = None) -> JumpDistribution:
-    """Symmetric density with tails m(x)|z|^(-1-beta) beyond the threshold.
-
-    Default threshold is the smallest making the two-sided tail mass
-    2 m(x) B^(-beta) / beta equal to 1 (pure power law, empty head). A
-    user-supplied threshold must keep tail mass <= 1 and head height <= 1.
-    """
-    if not isinstance(model.spatial, Stable1D):
-        raise ValueError("stable_kernel requires a one-dimensional jump spatial part")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    beta = model.spatial.beta
-    m = float(model.spatial.m(0.0, x[0]))
-    minimal = (2.0 * m / beta) ** (1.0 / beta)
-    if threshold is None:
-        threshold = minimal
-    threshold = float(threshold)
-    tail_mass = 2.0 * m * threshold ** (-beta) / beta
-    if tail_mass > 1.0 + 1e-12:
-        raise InvalidTailMass(
-            f"threshold {threshold} gives two-sided tail mass {tail_mass:.6g} > 1"
-        )
-    head_height = (1.0 - min(tail_mass, 1.0)) / (2.0 * threshold)
-    if head_height > 1.0 + 1e-12:
-        raise InvalidTailMass(f"threshold {threshold} forces head height {head_height:.6g} > 1")
-    return JumpDistribution(
-        kind="pareto1d",
-        x=x,
-        beta=beta,
-        tail_coef=m,
-        threshold=threshold,
-        head_height=head_height,
-    )
-
-
 # ---------------------------------------------------------------------------
-# vectorized kernel families for the chain engine
+# kernel families: the jump law at every position, vectorized over positions
 # ---------------------------------------------------------------------------
 
 
@@ -140,9 +70,6 @@ class DiffusionKernelFamily:
         if not isinstance(model.spatial, Diffusion):
             raise ValueError("diffusion family requires a diffusion spatial part")
         self.model = model
-
-    def at(self, x) -> JumpDistribution:
-        return diffusion_kernel(self.model, x)
 
     def sample(self, x, u):
         """One jump per row of x, driven by one uniform per row."""
@@ -163,9 +90,6 @@ class StableKernelFamily:
             raise ValueError("stable family requires a jump spatial part")
         self.model = model
         self.beta = model.spatial.beta
-
-    def at(self, x) -> JumpDistribution:
-        return stable_kernel(self.model, x)
 
     def sample(self, x, u):
         beta = self.beta
@@ -190,33 +114,31 @@ def kernel_family(model: Model):
 # ---------------------------------------------------------------------------
 
 
-def apply_approx_generator(kernel: JumpDistribution, tau: float, f, x) -> float:
-    """Small-step generator (1/tau) int (f(x + tau^(1/beta) z) - f(x)) p(x, dz),
-    with beta = 2 for a discrete kernel and the kernel's own beta otherwise.
+def apply_approx_generator(family, tau: float, f, x) -> float:
+    """Small-step generator (1/tau) int (f(x + tau^(1/beta) z) - f(x)) p(x, dz)
+    of a kernel family at x, with beta = 2 for diffusion atoms and the
+    family's own beta otherwise.
 
-    Exact atom sum for discrete kernels; adaptive quadrature (symmetrized, so
-    odd integrands vanish identically) for the power-tail kernel.
+    Exact atom sum for diffusion atoms; adaptive quadrature (symmetrized, so
+    odd integrands vanish identically) for the power law, whose density is
+    m(x)|z|^(-1-beta) beyond B = (2 m(x) / beta)^(1/beta) and zero inside.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    beta = 2.0 if kernel.kind == "discrete" else kernel.beta
-    h = tau ** (1.0 / beta)
-    if kernel.kind == "discrete":
-        vals = [w * (f(x + h * z) - f(x)) for z, w in zip(kernel.atoms, kernel.weights)]
+    model = family.model
+    if isinstance(family, DiffusionKernelFamily):
+        h = tau ** 0.5
+        atoms, weights = _diffusion_atoms(model, x[None, :] if model.dim == 2 else x[:1])
+        vals = [w * (f(x + h * z) - f(x)) for z, w in zip(atoms[0], weights)]
         return float(np.asarray(sum(vals)).reshape(-1)[0]) / tau
+    beta = family.beta
+    h = tau ** (1.0 / beta)
     x0 = float(x[0])
-    B = kernel.threshold
-    coef = kernel.tail_coef
-    eta = kernel.head_height
+    coef = float(model.spatial.m(0.0, x0))
+    B = (2.0 * coef / beta) ** (1.0 / beta)
 
     def sym(z):
         return f(x0 + h * z) + f(x0 - h * z) - 2.0 * f(x0)
 
-    total = 0.0
-    err_total = 0.0
-    if eta > 0.0:
-        v, e = integrate.quad(sym, 0.0, B, limit=200, epsabs=1e-12, epsrel=1e-11)
-        total += eta * v
-        err_total += eta * e
     # Beyond Z the test function has leveled off; freeze it there and close
     # the tail in closed form.
     Z = max(60.0 / h, 20.0 * B)
@@ -225,11 +147,9 @@ def apply_approx_generator(kernel: JumpDistribution, tau: float, f, x) -> float:
         limit=800, epsabs=1e-12, epsrel=1e-11, points=[min(1.0 / h, Z / 2.0)],
     )
     tail = sym(2.0 * Z) * Z ** (-beta) / beta
-    total += coef * (v1 + tail)
-    err_total += coef * e1
-    if err_total / tau > 1e-8:
-        raise QuadratureFailure(f"generator quadrature error {err_total / tau:.3g}")
-    return total / tau
+    if coef * e1 / tau > 1e-8:
+        raise QuadratureFailure(f"generator quadrature error {coef * e1 / tau:.3g}")
+    return coef * (v1 + tail) / tau
 
 
 def limit_generator(model: Model, f, x) -> float:
@@ -279,7 +199,7 @@ def generator_residual(model: Model, tau: float, f_set, x_grid) -> float:
     worst = 0.0
     for f in f_set:
         for x in np.atleast_1d(np.asarray(x_grid, dtype=float)):
-            approx = apply_approx_generator(fam.at(x), tau, f.fn, x)
+            approx = apply_approx_generator(fam, tau, f.fn, x)
             exact = limit_generator(model, f, x)
             worst = max(worst, abs(exact - approx))
     return worst

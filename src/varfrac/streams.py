@@ -69,20 +69,3 @@ def uniforms(seed: int, traj, step, channel: int):
     h ^= step_key
     h = _mix_arr(h)
     return ((h >> _SH11).astype(np.float64) + 0.5) * (2.0**-53)
-
-
-class TrajectoryStream:
-    """Sequential view of one trajectory's stream (same bits the vectorized
-    engine consumes), for scalar chain stepping."""
-
-    def __init__(self, seed: int, traj_index: int):
-        self.seed = int(seed)
-        self.traj = np.asarray([traj_index], dtype=np.uint64)
-        self.step = 0
-
-    def next_pair(self):
-        """Uniform pair (u_jump, u_wait) for the next step."""
-        self.step += 1
-        u_jump = uniforms(self.seed, self.traj, self.step, 0)[0]
-        u_wait = uniforms(self.seed, self.traj, self.step, 1)[0]
-        return u_jump, u_wait

@@ -28,7 +28,7 @@ class WaitingLaw:
     """Family of waiting densities with a shared tail threshold B.
 
     head height is (1 - B^(-gamma)/gamma) / B, which keeps the density at or
-    below 1 everywhere once construction has validated the threshold.
+    below 1 everywhere for the threshold `build_waiting_law` chooses.
     """
 
     B: float
@@ -40,13 +40,6 @@ class WaitingLaw:
 
     def head_height(self, gamma):
         return (1.0 - self.tail_mass(gamma)) / self.B
-
-    def density(self, gamma, r):
-        r = np.asarray(r, dtype=float)
-        gamma = np.asarray(gamma, dtype=float)
-        head = self.head_height(gamma)
-        out = np.where(r >= self.B, np.power(np.maximum(r, self.B), -1.0 - gamma), head)
-        return np.where(r < 0.0, 0.0, out)
 
     def sample(self, gamma, u):
         """Inverse-CDF draw; vectorized over gamma and u, monotone in u."""
@@ -69,51 +62,27 @@ class WaitingLaw:
         return np.where(t >= self.B, tail, head)
 
 
-def build_waiting_law(gamma_lo: float, gamma_hi: float, B: float | None = None) -> WaitingLaw:
+def build_waiting_law(gamma_lo: float, gamma_hi: float) -> WaitingLaw:
     """Construct a waiting law valid for every gamma in [gamma_lo, gamma_hi].
 
-    With B omitted, uses the smallest threshold with tail mass <= 1 across
-    the range: max of gamma^(-1/gamma) over the endpoint exponents (the map
-    is monotone on (0,1); this is re-verified on a dense gamma grid here).
-    A user-supplied B is rejected if any gamma in range gives tail mass > 1
-    or head height > 1.
+    Uses the smallest threshold with tail mass <= 1 across the range: max of
+    gamma^(-1/gamma) over the endpoint exponents (the map is monotone on
+    (0,1); this is re-verified on a dense gamma grid here). That threshold
+    exceeds 1, so the head height (1 - tail mass) / B stays below 1.
     """
     if not (0.0 < gamma_lo <= gamma_hi < 1.0):
         raise InvalidTailMass(
             f"exponent range [{gamma_lo}, {gamma_hi}] must sit inside (0, 1)"
         )
-    user_supplied = B is not None
-    if B is None:
-        B = max(gamma_lo ** (-1.0 / gamma_lo), gamma_hi ** (-1.0 / gamma_hi))
-    B = float(B)
-    if B <= 0.0:
-        raise InvalidTailMass(f"threshold B must be positive, got {B}")
-
+    B = float(max(gamma_lo ** (-1.0 / gamma_lo), gamma_hi ** (-1.0 / gamma_hi)))
     gammas = np.linspace(gamma_lo, gamma_hi, _GAMMA_CHECK_POINTS)
     masses = _tail_mass(B, gammas)
-    tol = 0.0 if user_supplied else 1e-12
-    if np.max(masses) > 1.0 + tol:
+    if np.max(masses) > 1.0 + 1e-12:
         raise InvalidTailMass(
             f"B={B} gives tail mass {np.max(masses):.6g} > 1 at gamma="
             f"{gammas[np.argmax(masses)]:.4g}"
         )
-    heights = (1.0 - masses) / B
-    if np.max(heights) > 1.0 + tol:
-        raise InvalidTailMass(
-            f"B={B} forces head height {np.max(heights):.6g} > 1 at gamma="
-            f"{gammas[np.argmax(heights)]:.4g}"
-        )
     return WaitingLaw(B=B, gamma_lo=gamma_lo, gamma_hi=gamma_hi)
-
-
-def sample_waiting(law, gamma, u):
-    """Inverse-CDF sample of the waiting density with exponent gamma."""
-    return law.sample(gamma, u)
-
-
-def tail_prob(law: WaitingLaw, gamma, t):
-    """Exact survival function P(T > t); equals t^(-gamma)/gamma for t >= B."""
-    return law.survival(gamma, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,61 @@
+"""Scalar reference chain for the replay tests.
+
+One trajectory stepped in plain Python, written apart from the lane kernel
+`ctrw._advance`: replaying it from the same streams must give the ensemble's
+bits exactly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from varfrac.model import Model, gamma_at
+from varfrac.streams import uniforms
+
+
+@dataclass(frozen=True)
+class ChainState:
+    """One enhanced-chain state: position, accumulated waiting time, step count."""
+
+    x: np.ndarray
+    s: float
+    k: int = 0
+
+
+def step_chain(state: ChainState, tau, model: Model, kernel_family, law, u_jump, u_wait):
+    """One transition of the enhanced chain.
+
+    The waiting increment is tau^(1/(alpha a(s, x))) * r with the order field
+    read at the pre-step state, and the spatial increment is tau^(1/beta) * y;
+    both coordinates move jointly.
+    """
+    x = np.atleast_1d(np.asarray(state.x, dtype=float))
+    gam = float(gamma_at(model, state.s, x[0] if model.dim == 1 else x))
+    r = float(law.sample(gam, u_wait))
+    s_new = state.s + float(np.power(tau, 1.0 / gam)) * r
+    if model.dim == 1:
+        y = kernel_family.sample(x, np.asarray([u_jump]))
+        x_new = x + tau ** (1.0 / model.beta) * np.asarray(y)
+    else:
+        y = kernel_family.sample(x[None, :], np.asarray([u_jump]))[0]
+        x_new = x + tau ** (1.0 / model.beta) * y
+    return ChainState(x=x_new, s=s_new, k=state.k + 1)
+
+
+class TrajectoryStream:
+    """Sequential view of one trajectory's stream (same bits the vectorized
+    engine consumes), for scalar chain stepping."""
+
+    def __init__(self, seed: int, traj_index: int):
+        self.seed = int(seed)
+        self.traj = np.asarray([traj_index], dtype=np.uint64)
+        self.step = 0
+
+    def next_pair(self):
+        """Uniform pair (u_jump, u_wait) for the next step."""
+        self.step += 1
+        u_jump = uniforms(self.seed, self.traj, self.step, 0)[0]
+        u_wait = uniforms(self.seed, self.traj, self.step, 1)[0]
+        return u_jump, u_wait

@@ -1,14 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varfrac.cli import main, read_results
 from varfrac.errors import SchemaMismatch
-from varfrac.experiments import PRESETS
+from varfrac.experiments import CSV_COLUMNS, PRESETS
 
 SMALL_TRI = {
     "schema_version": 1,
@@ -71,6 +75,64 @@ def test_dump_flags_golden_digest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["results.csv", "triangulation.svg", "trajectories.csv",
                                    "field.csv"]
+
+
+# SHA-256 of results.csv for a reduced run of each experiment at seed 3,
+# recorded before the test-only second walk API left the package. Several
+# checks fail at this size; the digest pins the bytes, not the verdicts.
+_REDUCED_NUMERICS = {
+    "rate-check": {"alphas": [0.5], "h_values": [0.1, 0.05]},
+    "triangulation": {"n_x": 64, "n_s": 64, "mc_tau": 1e-2, "mc_n_traj": 2_000},
+    "variable-order": {"n_x": 32, "n_s": 64,
+                       "points": [{"x0": 0.0, "taus": [1e-1, 1e-2], "n_traj": [500, 500]}]},
+    "subordination-identity": {"lattice_n_traj": 200, "ks_tau": 1e-2, "ks_n_traj": 200,
+                               "density_n_traj": 200},
+    "solver-convergence": {"resolutions": [[32, 64], [64, 128]]},
+}
+_RESULTS_SHA256 = {
+    "rate-check": "42ec4473a7f363b68c91fa1308023ed37827fa6fc0d44e5c76a483aa8ef02492",
+    "triangulation": "778226d6fc871698c8d531dac09285c91a29e8cc5fe4ad30246064de668fc0bb",
+    "variable-order": "629689c5a81751812a13d3849b675b2c0e0f053dab4e164eb90e8e416b42f12b",
+    "subordination-identity": "587252755a065bb6e99de5e66921239a7d88dea4e64fb10fe4b630d26404073c",
+    "solver-convergence": "c63752c9f5f839e1b34b81c89ed1700b04dc30dda1218b4c53f38f6f617ba3a6",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_RESULTS_SHA256))
+def test_results_golden_digest(tmp_path, experiment):
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, "experiment": experiment,
+                                        "seed": 3, "numerics": _REDUCED_NUMERICS[experiment]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--threads", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == _RESULTS_SHA256[experiment]
+
+
+# Wrong types and out-of-range values; none of them makes a run larger than
+# the reduced one it replaces a value of.
+_BAD_VALUES = [None, True, "x", [], [0.5], {}, -1, 0, 0.5, 2.5, math.nan, math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiment=st.sampled_from(sorted(_REDUCED_NUMERICS)), data=st.data())
+def test_mutated_config_exits_0_2_or_3(experiment, data):
+    config = {"schema_version": 1, "experiment": experiment, "seed": 3,
+              "numerics": dict(_REDUCED_NUMERICS[experiment])}
+    keys = sorted(config) + ["model", "output_dir"]
+    keys += [f"numerics.{k}" for k in sorted(PRESETS[experiment]["numerics"])]
+    key = data.draw(st.sampled_from(keys))
+    value = data.draw(st.sampled_from(_BAD_VALUES))
+    assume(not (key == "numerics" and value == {}))  # {} is the full-size preset
+    if key.startswith("numerics."):
+        config["numerics"][key.split(".", 1)[1]] = value
+    else:
+        config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code = main(["run", path, "--threads", "1", "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3)
 
 
 def test_dump_flags_skipped_without_chain_or_solve(tmp_path, capsys):
@@ -174,7 +236,8 @@ def test_bad_numerics_exit_2(tmp_path, capsys, experiment, numerics, message):
 
 
 def test_runner_value_error_exit_2(tmp_path, capsys):
-    # density_tau = 0.01 gives the first histogram time only 10 chain steps
+    # density_tau = 0.01 gives the first histogram time only 10 chain steps;
+    # validate_config sees it before any work
     numerics = {"lattice_n_traj": 100, "ks_n_traj": 100, "density_n_traj": 100,
                 "density_tau": 0.01}
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "seed": 0, "numerics": numerics,
@@ -182,6 +245,35 @@ def test_runner_value_error_exit_2(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "at least 100 steps" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"numerics": 5}, "numerics must be an object"),
+    ({"numerics": None}, "numerics must be an object"),
+    ({"output_dir": 5}, "output_dir must be a string"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": "5"}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"experiment": ["triangulation"]}, "unknown experiment"),
+    ({"schema_version": True}, "schema_version must be 1"),
+])
+def test_bad_top_level_value_exit_2(tmp_path, monkeypatch, capsys, change, message):
+    monkeypatch.chdir(tmp_path)  # no --out: output_dir would be the target
+    cfg = _write(tmp_path, "bad.json", {**SMALL_CONV, **change})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_negative_trajectory_dump_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), "--out", str(tmp_path / "o"), "--dump-trajectories", "-2"])
+    assert exc.value.code == 2
+    assert "--dump-trajectories must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_halved_grid_exit_2(tmp_path, capsys):
@@ -240,6 +332,20 @@ def test_compare_mismatched_experiments_exit_2(tmp_path):
     main(["run", str(cfg2), "--threads", "2", "--out", str(tmp_path / "o2")])
     assert main(["compare", str(tmp_path / "o1" / "results.csv"),
                  str(tmp_path / "o2" / "results.csv")]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"",
+    b"\xff\xfe\x00garbage",
+    ",".join(CSV_COLUMNS).encode() + b"\r\nsolver-convergence,linearity_error,abc,,,,,,,1.0,\r\n",
+    ",".join(CSV_COLUMNS).encode() + b"\r\nsolver-convergence,linearity_error\r\n",
+], ids=["empty", "not-utf8", "not-a-number", "short-row"])
+def test_compare_unreadable_results_exit_2(tmp_path, capsys, content):
+    p = tmp_path / "results.csv"
+    p.write_bytes(content)
+    assert main(["compare", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "schema mismatch" in err and "Traceback" not in err
 
 
 def test_read_results_rejects_foreign_header(tmp_path):

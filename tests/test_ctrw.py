@@ -7,7 +7,8 @@ import pytest
 from varfrac import ctrw, oracles, waiting
 from varfrac.errors import NonFiniteFunctional, StepBudgetExceeded
 from varfrac.kernels import kernel_family
-from varfrac.streams import TrajectoryStream
+
+from scalar_chain import ChainState, TrajectoryStream, step_chain
 
 
 @pytest.fixture(scope="module")
@@ -17,49 +18,55 @@ def const_setup(const_model):
     return const_model, fam, law
 
 
+def _one_lane(x0, t, tau, model, fam, law, seed, traj, step_cap=ctrw.DEFAULT_STEP_CAP):
+    """(position, hitting time, step count) of trajectory traj run alone."""
+    xs, ks = ctrw._run_chunk_to_horizon(model, fam, law, x0, 0.0, t, tau, seed,
+                                        np.asarray([traj], dtype=np.uint64), step_cap)
+    return xs[0], int(ks[0]) * tau, int(ks[0])
+
+
 def test_step_chain_spatial_increment(const_setup):
     model, fam, law = const_setup
-    state = ctrw.ChainState(x=np.array([0.0]), s=0.0)
-    nxt = ctrw.step_chain(state, 0.01, model, fam, law, u_jump=0.7, u_wait=0.3)
+    state = ChainState(x=np.array([0.0]), s=0.0)
+    nxt = step_chain(state, 0.01, model, fam, law, u_jump=0.7, u_wait=0.3)
     assert abs(nxt.x[0]) == pytest.approx(0.1)  # tau^(1/2) * (+-1)
     assert nxt.k == 1
 
 
 def test_step_chain_temporal_increment(const_setup):
     model, fam, law = const_setup
-    state = ctrw.ChainState(x=np.array([0.0]), s=0.25)
+    state = ChainState(x=np.array([0.0]), s=0.25)
     u_wait = 0.6
-    nxt = ctrw.step_chain(state, 0.01, model, fam, law, u_jump=0.2, u_wait=u_wait)
+    nxt = step_chain(state, 0.01, model, fam, law, u_jump=0.2, u_wait=u_wait)
     r = float(law.sample(0.5, u_wait))
     assert nxt.s == pytest.approx(0.25 + 0.01**2 * r)
 
 
 def test_accumulated_time_strictly_increases(const_setup):
     model, fam, law = const_setup
-    state = ctrw.ChainState(x=np.array([0.0]), s=0.0)
+    state = ChainState(x=np.array([0.0]), s=0.0)
     st = TrajectoryStream(seed=5, traj_index=0)
     for _ in range(50):
         uj, uw = st.next_pair()
-        nxt = ctrw.step_chain(state, 0.01, model, fam, law, uj, uw)
+        nxt = step_chain(state, 0.01, model, fam, law, uj, uw)
         assert nxt.s > state.s
         state = nxt
 
 
 def test_run_to_horizon_returns_crossing_state(const_setup):
     model, fam, law = const_setup
-    x, T, k = ctrw.run_to_horizon(0.0, 0.0, 1.0, 0.05, model, fam, law,
-                                  TrajectoryStream(seed=7, traj_index=3))
+    x, T, k = _one_lane(0.0, 1.0, 0.05, model, fam, law, seed=7, traj=3)
     assert T == pytest.approx(k * 0.05)
     assert k >= 1
     # replay: the state at step k-1 is still below the horizon
     st = TrajectoryStream(seed=7, traj_index=3)
-    state = ctrw.ChainState(x=np.array([0.0]), s=0.0)
+    state = ChainState(x=np.array([0.0]), s=0.0)
     for _ in range(k - 1):
         uj, uw = st.next_pair()
-        state = ctrw.step_chain(state, 0.05, model, fam, law, uj, uw)
+        state = step_chain(state, 0.05, model, fam, law, uj, uw)
     assert state.s < 1.0
     uj, uw = st.next_pair()
-    state = ctrw.step_chain(state, 0.05, model, fam, law, uj, uw)
+    state = step_chain(state, 0.05, model, fam, law, uj, uw)
     assert state.s >= 1.0
     assert state.x[0] == x
 
@@ -67,18 +74,15 @@ def test_run_to_horizon_returns_crossing_state(const_setup):
 def test_hitting_time_monotone_in_horizon(const_setup):
     model, fam, law = const_setup
     for idx in range(10):
-        _, t1, _ = ctrw.run_to_horizon(0.0, 0.0, 0.5, 0.05, model, fam, law,
-                                       TrajectoryStream(seed=11, traj_index=idx))
-        _, t2, _ = ctrw.run_to_horizon(0.0, 0.0, 1.5, 0.05, model, fam, law,
-                                       TrajectoryStream(seed=11, traj_index=idx))
+        _, t1, _ = _one_lane(0.0, 0.5, 0.05, model, fam, law, seed=11, traj=idx)
+        _, t2, _ = _one_lane(0.0, 1.5, 0.05, model, fam, law, seed=11, traj=idx)
         assert t1 <= t2
 
 
 def test_step_budget_enforced(const_setup):
     model, fam, law = const_setup
     with pytest.raises(StepBudgetExceeded):
-        ctrw.run_to_horizon(0.0, 0.0, 1.0, 1e-4, model, fam, law,
-                            TrajectoryStream(seed=1, traj_index=0), step_cap=3)
+        _one_lane(0.0, 1.0, 1e-4, model, fam, law, seed=1, traj=0, step_cap=3)
 
 
 def test_scalar_and_vector_paths_agree_bitwise(const_setup):
@@ -86,8 +90,7 @@ def test_scalar_and_vector_paths_agree_bitwise(const_setup):
     xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 0.01, 256, 42,
                                  model=model, kernel_family=fam, law=law)
     for i in (0, 17, 101, 255):
-        x, T, _ = ctrw.run_to_horizon(0.0, 0.0, 1.0, 0.01, model, fam, law,
-                                      TrajectoryStream(seed=42, traj_index=i))
+        x, T, _ = _one_lane(0.0, 1.0, 0.01, model, fam, law, seed=42, traj=i)
         assert xs[i] == x
         assert Ts[i] == T
 
@@ -119,6 +122,17 @@ def test_estimator_requires_enough_trajectories(const_setup):
     with pytest.raises(ValueError):
         ctrw.estimate_functional(np.cos, 0.0, 0.0, 1.0, 0.05, 50, 1,
                                  model=model, kernel_family=fam, law=law)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.2])
+def test_horizon_must_exceed_start_time(const_setup, t):
+    # with t <= s0 every trajectory would end on its first step
+    model, fam, law = const_setup
+    kw = dict(model=model, kernel_family=fam, law=law)
+    with pytest.raises(ValueError, match="horizon must exceed"):
+        ctrw.estimate_functional(np.cos, 0.0, 0.5, t, 0.05, 200, 1, **kw)
+    with pytest.raises(ValueError, match="horizon must exceed"):
+        ctrw.sample_hitting(0.0, 0.5, t, 0.05, 200, 1, **kw)
 
 
 def test_estimator_thread_count_invariance(const_setup):
@@ -216,15 +230,14 @@ def test_two_dimensional_chain_steps():
     model = make_model(cfg)
     fam = kernel_family(model)
     law = waiting.build_waiting_law(0.5, 0.5)
-    state = ctrw.ChainState(x=np.array([0.0, 0.0]), s=0.0)
+    state = ChainState(x=np.array([0.0, 0.0]), s=0.0)
     st = TrajectoryStream(seed=2, traj_index=0)
     for _ in range(20):
         uj, uw = st.next_pair()
-        state = ctrw.step_chain(state, 0.01, model, fam, law, uj, uw)
+        state = step_chain(state, 0.01, model, fam, law, uj, uw)
     assert state.x.shape == (2,)
     assert state.s > 0.0
-    x, T, k = ctrw.run_to_horizon([0.0, 0.0], 0.0, 0.5, 0.02, model, fam, law,
-                                  TrajectoryStream(seed=3, traj_index=1))
+    x, T, k = _one_lane(np.zeros(2), 0.5, 0.02, model, fam, law, seed=3, traj=1)
     assert x.shape == (2,)
     assert T == pytest.approx(k * 0.02)
 
@@ -282,11 +295,11 @@ def test_step_chain_replay_matches_ensemble(varorder_setup):
     kw = varorder_setup
     xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 1e-2, 20_000, 8, **kw)
     for i in (0, 16_383, 16_384, 19_999):
-        state = ctrw.ChainState(x=np.array([0.0]), s=0.0)
+        state = ChainState(x=np.array([0.0]), s=0.0)
         st = TrajectoryStream(seed=8, traj_index=i)
         while state.s < 1.0:
             uj, uw = st.next_pair()
-            state = ctrw.step_chain(state, 1e-2, kw["model"], kw["kernel_family"], kw["law"],
+            state = step_chain(state, 1e-2, kw["model"], kw["kernel_family"], kw["law"],
                                     uj, uw)
         assert state.x[0] == xs[i]
         assert state.k * 1e-2 == Ts[i]
@@ -317,8 +330,7 @@ def test_chain_entry_points_reject_bad_tau(const_setup, tmp_path, tau):
     calls = [
         lambda: ctrw.estimate_functional(np.cos, 0.0, 0.0, 1.0, tau, 200, 1, **kw),
         lambda: ctrw.sample_hitting(0.0, 0.0, 1.0, tau, 200, 1, **kw),
-        lambda: ctrw.run_to_horizon(0.0, 0.0, 1.0, tau, model, fam, law,
-                                    TrajectoryStream(seed=1, traj_index=0)),
+        lambda: _one_lane(0.0, 1.0, tau, model, fam, law, seed=1, traj=0),
         lambda: ctrw.dump_trajectories(tmp_path / "t.csv", 0.0, 0.0, 1.0, tau, 2, 1, **kw),
         lambda: ctrw.sample_chain_at_steps(0.0, 0.0, tau, [5], 200, 1, **kw),
     ]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from varfrac import kernels as kr
-from varfrac.errors import InvalidTailMass, KernelInfeasible
+from varfrac.errors import KernelInfeasible
 from varfrac.model import make_model
 
 from conftest import CONSTANT_ORDER
@@ -18,53 +18,62 @@ def _model(spatial, dim=1):
     return make_model(cfg)
 
 
+def _atoms_at(model, x):
+    """Atoms (k, d) and weights (k,) of the diffusion law at one position."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    atoms, weights = kr._diffusion_atoms(model, x[None, :] if model.dim == 2 else x[:1])
+    return atoms[0], weights
+
+
+def _second_moment(atoms, weights):
+    return np.einsum("k,ki,kj->ij", weights, atoms, atoms)
+
+
 def test_diffusion_kernel_1d():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 2.0},
                 "g_lo": 2.0, "g_hi": 2.0})
-    k = kr.diffusion_kernel(m, 0.0)
-    assert sorted(k.atoms[:, 0]) == pytest.approx([-math.sqrt(2.0), math.sqrt(2.0)])
-    assert k.weights.tolist() == [0.5, 0.5]
-    assert k.second_moment()[0, 0] == pytest.approx(2.0)
+    atoms, weights = _atoms_at(m, 0.0)
+    assert sorted(atoms[:, 0]) == pytest.approx([-math.sqrt(2.0), math.sqrt(2.0)])
+    assert weights.tolist() == [0.5, 0.5]
+    assert _second_moment(atoms, weights)[0, 0] == pytest.approx(2.0)
 
 
 def test_diffusion_kernel_2d_identity():
     m = _model({"kind": "diffusion", "g_matrix": [[1.0, 0.0], [0.0, 1.0]],
                 "g_lo": 0.5, "g_hi": 1.5}, dim=2)
-    k = kr.diffusion_kernel(m, [0.0, 0.0])
-    assert np.allclose(k.weights, 0.25)
+    atoms, weights = _atoms_at(m, [0.0, 0.0])
+    assert np.allclose(weights, 0.25)
     # weight-1/4 atoms of length sqrt(2) along each axis give E[z z^T] = I
-    assert np.allclose(np.abs(k.atoms).max(axis=1), math.sqrt(2.0))
-    assert np.allclose(k.second_moment(), np.eye(2), atol=1e-12)
+    assert np.allclose(np.abs(atoms).max(axis=1), math.sqrt(2.0))
+    assert np.allclose(_second_moment(atoms, weights), np.eye(2), atol=1e-12)
 
 
 def test_diffusion_kernel_2d_offdiagonal_moments():
     G = np.array([[1.0, 0.5], [0.5, 1.0]])
     m = _model({"kind": "diffusion", "g_matrix": G.tolist(), "g_lo": 0.4, "g_hi": 1.6}, dim=2)
-    k = kr.diffusion_kernel(m, [0.2, -0.3])
-    assert np.max(np.abs(k.second_moment() - G)) < 1e-12
-    assert k.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    atoms, weights = _atoms_at(m, [0.2, -0.3])
+    assert np.max(np.abs(_second_moment(atoms, weights) - G)) < 1e-12
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     # symmetry: atoms come in +- pairs
-    atoms = sorted(map(tuple, np.round(k.atoms, 12)))
-    assert sorted(map(tuple, np.round(-k.atoms, 12))) == atoms
+    pairs = sorted(map(tuple, np.round(atoms, 12)))
+    assert sorted(map(tuple, np.round(-atoms, 12))) == pairs
 
 
 def test_diffusion_kernel_2d_infeasible():
     G = [[0.5, 1.0], [1.0, 10.0]]  # positive definite but not diagonally dominated
     m = _model({"kind": "diffusion", "g_matrix": G, "g_lo": 0.3, "g_hi": 10.2}, dim=2)
     with pytest.raises(KernelInfeasible):
-        kr.diffusion_kernel(m, [0.0, 0.0])
+        _atoms_at(m, [0.0, 0.0])
 
 
 def test_stable_kernel_minimal_threshold(stable_model):
-    # m = beta/2 makes the minimal threshold exactly 1 with empty head
-    k = kr.stable_kernel(stable_model, 0.0)
-    assert k.threshold == pytest.approx(1.0)
-    assert k.head_height == pytest.approx(0.0)
-
-
-def test_stable_kernel_bad_threshold(stable_model):
-    with pytest.raises(InvalidTailMass):
-        kr.stable_kernel(stable_model, 0.0, threshold=0.5)
+    # m = beta/2 makes the minimal threshold exactly 1 with empty head: every
+    # draw has |z| >= 1, and u near 1/2 draws |z| near 1
+    fam = kr.kernel_family(stable_model)
+    u = np.concatenate([(np.arange(10_000) + 0.5) / 10_000, [0.5 - 1e-9, 0.5 + 1e-9]])
+    z = np.abs(fam.sample(np.zeros(len(u)), u))
+    assert z.min() >= 1.0
+    assert z[-2:] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stable_sampler_tail_and_sign_balance(stable_model):
@@ -88,7 +97,7 @@ def test_stable_sampler_tail_and_sign_balance(stable_model):
 def test_apply_generator_quadratic_exact():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.7},
                 "g_lo": 1.7, "g_hi": 1.7})
-    k = kr.diffusion_kernel(m, 0.4)
+    k = kr.kernel_family(m)
     for tau in (1.0, 0.3, 1e-3):
         assert kr.apply_approx_generator(k, tau, lambda y: y**2, 0.4) == pytest.approx(
             1.7, rel=1e-12
@@ -98,7 +107,7 @@ def test_apply_generator_quadratic_exact():
 def test_apply_generator_constant_zero():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                 "g_lo": 1.0, "g_hi": 1.0})
-    k = kr.diffusion_kernel(m, 0.0)
+    k = kr.kernel_family(m)
     assert kr.apply_approx_generator(k, 0.1, lambda y: 3.0 * np.ones_like(y), 0.0) == 0.0
 
 
@@ -107,7 +116,7 @@ def test_apply_generator_sin_limit():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                 "g_lo": 1.0, "g_hi": 1.0})
     x = 0.9
-    k = kr.diffusion_kernel(m, x)
+    k = kr.kernel_family(m)
     v1 = kr.apply_approx_generator(k, 2e-3, np.sin, x)
     v2 = kr.apply_approx_generator(k, 1e-3, np.sin, x)
     extrap = 2.0 * v2 - v1
@@ -117,10 +126,10 @@ def test_apply_generator_sin_limit():
 def test_generator_odd_function_vanishes(stable_model):
     m1 = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                  "g_lo": 1.0, "g_hi": 1.0})
-    k1 = kr.diffusion_kernel(m1, 0.7)
+    k1 = kr.kernel_family(m1)
     val = kr.apply_approx_generator(k1, 0.1, lambda y: (y - 0.7) ** 3, 0.7)
     assert abs(val) < 1e-12
-    ks = kr.stable_kernel(stable_model, 0.0)
+    ks = kr.kernel_family(stable_model)
     odd = lambda y: (y) * np.exp(-(y**2))
     assert abs(kr.apply_approx_generator(ks, 0.1, odd, 0.0)) < 1e-12
 
@@ -151,17 +160,17 @@ def test_generator_residual_stable_monotone(stable_model):
 
 def test_family_matches_anchored_kernel(varorder_model):
     fam = kr.kernel_family(varorder_model)
-    k = fam.at(0.3)
-    assert k.kind == "discrete"
+    atoms, _ = _atoms_at(varorder_model, 0.3)
     z = fam.sample(np.array([0.3, 0.3]), np.array([0.2, 0.8]))
     assert z[0] == -z[1]
-    assert abs(z[0]) == pytest.approx(abs(k.atoms[0, 0]))
+    assert abs(z[0]) == pytest.approx(abs(atoms[0, 0]))
 
 
 # Golden SHA-256 digest of the diffusion atom laws, recorded before the scalar
 # and the vectorized atom construction were merged into one builder: 2-D
 # sampler draws with G12 zero, positive and negative under a position-dependent
-# scale, 1-D draws under a position-dependent g, and anchored atoms.
+# scale, 1-D draws under a position-dependent g, and the atoms and weights at
+# single positions.
 _ATOMS_SHA256 = "768c3cdd8a94b47a7c393e13ffda9ed4a89220a14120726b56bbeaee6e8a2c43"
 
 _SCALE_2D = {"kind": "trig", "base": 1.0, "amp": 0.3, "freq_x": [1.0, 0.5], "freq_t": 0.0}
@@ -187,8 +196,7 @@ def _atom_law_outputs():
         x = x2 if m.dim == 2 else x1
         out.append(fam.sample(x, u))
         for xi in x[:7]:
-            k = kr.diffusion_kernel(m, xi)
-            out += [k.atoms, k.weights]
+            out += list(_atoms_at(m, xi))
     return out
 
 

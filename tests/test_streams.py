@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 
-from varfrac.streams import TrajectoryStream, uniforms
+from varfrac.streams import uniforms
+
+from scalar_chain import TrajectoryStream
 
 
 def test_deterministic_and_shaped():

