@@ -221,6 +221,8 @@ def main(argv=None):
         parser.error("run requires a config path or --preset")
     if args.command == "run" and args.dump_trajectories < 0:
         parser.error("--dump-trajectories must be at least 0")
+    if args.command == "run" and args.threads < 1:
+        parser.error("--threads must be at least 1")
     return args.func(args)
 
 

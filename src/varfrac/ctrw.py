@@ -7,9 +7,11 @@ takes the next id of its worker's range when its trajectory ends. On the
 fixed-step path every lane starts and ends together, so its lanes move in
 lockstep and share one step count. Step k of
 trajectory i reads only the variates keyed by (seed, i, k), so lane width and
-thread count are free to vary. The reduction blocks are fixed: F is summed
-over the same `_CHUNK`-id blocks, combined in block order with exact
-compensated summation, so estimates are bit-identical for any thread count.
+thread count (at least 1) are free to vary. A lane hashes (seed, i) once
+when it takes id i; each step mixes only (k, channel) into that key. The
+reduction blocks are fixed: F is summed over the same `_CHUNK`-id blocks,
+combined in block order with exact compensated summation, so estimates are
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteFunctional, StepBudgetExceeded
-from .streams import uniforms
+from .streams import keyed_uniforms, lane_keys, uniforms  # noqa: F401 (tracers wrap it)
 
 DEFAULT_STEP_CAP = 10**8
 _CHUNK = 4096  # ids per reduction block and per cut between worker ranges
@@ -74,6 +76,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
     x_start = float(x0) if model.dim == 1 else np.asarray(x0, dtype=float)
     pos = np.arange(min(n, _LANES))
     lane_ids = ids[pos]
+    keys = lane_keys(seed, lane_ids)
     x = np.full(pos.shape + np.shape(x_start), x_start)
     s = np.full(len(pos), float(s0))
     k = np.zeros(len(pos), dtype=np.uint64)
@@ -87,8 +90,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
         # No lane's k exceeds the pass count: check lanes only past the cap.
         if passes > step_cap and k.max() > step_cap:
             raise StepBudgetExceeded(f"exceeded {step_cap} steps before reaching the horizon")
-        u_jump = uniforms(seed, lane_ids, k, 0)
-        u_wait = uniforms(seed, lane_ids, k, 1)
+        u_jump, u_wait = keyed_uniforms(keys, k)
         gam = model.alpha * model.order_field(s, x)
         r = law.sample(gam, u_wait)
         s += np.power(tau, 1.0 / gam) * r
@@ -105,13 +107,14 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
             pos[fresh] = np.arange(next_pos, next_pos + len(fresh))
             next_pos += len(fresh)
             lane_ids[fresh] = ids[pos[fresh]]
+            keys[fresh] = lane_keys(seed, lane_ids[fresh])
             x[fresh] = x_start
             s[fresh] = s0
             k[fresh] = 0
         if len(fresh) < len(lanes):
             keep = np.ones(len(pos), dtype=bool)
             keep[lanes[len(fresh):]] = False
-            pos, lane_ids, x, s, k = pos[keep], lane_ids[keep], x[keep], s[keep], k[keep]
+            pos, lane_ids, keys, x, s, k = (a[keep] for a in (pos, lane_ids, keys, x, s, k))
     return out_x, out_k
 
 
@@ -143,6 +146,8 @@ def _run_chunk_fixed_steps(model, kern, law, x0, s0, tau, seed, ids, step_counts
 def _map_ranges(fn, n_traj, threads):
     """fn(ids) over at most `threads` contiguous id ranges, each cut on a
     multiple of _CHUNK; results in range order."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
     blocks = -(-n_traj // _CHUNK)
     parts = max(1, min(threads, blocks))
     cuts = [min(blocks * w // parts * _CHUNK, n_traj) for w in range(parts + 1)]

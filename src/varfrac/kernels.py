@@ -70,10 +70,15 @@ class DiffusionKernelFamily:
         if not isinstance(model.spatial, Diffusion):
             raise ValueError("diffusion family requires a diffusion spatial part")
         self.model = model
+        # A constant 1-D g gives the same atoms at every position: read it once.
+        g = model.spatial.g
+        self._a = np.sqrt(float(g(0.0, 0.0))) if model.dim == 1 and g.kind == "constant" else None
 
     def sample(self, x, u):
         """One jump per row of x, driven by one uniform per row."""
         u = np.asarray(u, dtype=float)
+        if self._a is not None:
+            return np.where(u < 0.5, -self._a, self._a)
         if self.model.dim == 1:
             a = np.sqrt(np.asarray(self.model.spatial.g(0.0, x), dtype=float))
             return np.where(u < 0.5, -a, a)
@@ -90,16 +95,20 @@ class StableKernelFamily:
             raise ValueError("stable family requires a jump spatial part")
         self.model = model
         self.beta = model.spatial.beta
+        m = model.spatial.m
+        self._two_m = 2.0 * float(m(0.0, 0.0)) if m.kind == "constant" else None
 
     def sample(self, x, u):
         beta = self.beta
-        m = np.asarray(self.model.spatial.m(0.0, x), dtype=float)
+        two_m = self._two_m
+        if two_m is None:
+            two_m = 2.0 * np.asarray(self.model.spatial.m(0.0, x), dtype=float)
         # Minimal threshold: tail mass is exactly 1, so |z| is a pure power
         # draw and the sign comes from which half of (0,1) u fell in.
         sign = np.where(u < 0.5, -1.0, 1.0)
         u_half = np.where(u < 0.5, 1.0 - 2.0 * u, 2.0 * u - 1.0)
         # Survival of |z|: 2 m r^(-beta) / beta; invert at 1 - u_half.
-        mag = (beta * (1.0 - u_half) / (2.0 * m)) ** (-1.0 / beta)
+        mag = (beta * (1.0 - u_half) / two_m) ** (-1.0 / beta)
         return sign * mag
 
 

@@ -8,6 +8,7 @@ sampling at construction time with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -44,32 +45,29 @@ class ScalarField:
     dim: int = 1
 
     def __call__(self, t, x):
-        p = self.params
+        c = self._coef
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        xs = self._axis_sum(x)
         if self.kind == "constant":
-            return np.broadcast_to(
-                np.asarray(float(p["value"])), np.broadcast_shapes(t.shape, xs.shape)
-            ).copy()
+            return np.full(np.broadcast_shapes(t.shape, self._axis_sum(x).shape), c["value"])
         if self.kind == "affine":
-            cx = np.atleast_1d(np.asarray(p.get("cx", 0.0), dtype=float))
-            lin = self._dot(x, cx)
-            return float(p.get("c0", 0.0)) + float(p.get("ct", 0.0)) * t + lin
+            return c["c0"] + c["ct"] * t + self._dot(x, c["cx"])
         if self.kind == "trig":
-            freq_x = np.atleast_1d(np.asarray(p.get("freq_x", 1.0), dtype=float))
-            freq_t = float(p.get("freq_t", 0.0))
-            phase = self._dot(x, freq_x)
-            return float(p["base"]) + float(p["amp"]) * np.sin(phase) * np.cos(freq_t * t)
+            phase = self._dot(x, c["freq_x"])
+            return c["base"] + c["amp"] * np.sin(phase) * np.cos(c["freq_t"] * t)
         if self.kind == "bump":
-            center = np.atleast_1d(np.asarray(p.get("center", 0.0), dtype=float))
-            width = float(p["width"])
             if self.dim == 1:
-                d2 = (x - center[0]) ** 2
+                d2 = (x - c["center"][0]) ** 2
             else:
-                d2 = np.sum((x - center) ** 2, axis=-1)
-            return float(p["base"]) + float(p["amp"]) * np.exp(-d2 / (2.0 * width**2)) + 0.0 * t
+                d2 = np.sum((x - c["center"]) ** 2, axis=-1)
+            return c["base"] + c["amp"] * np.exp(-d2 / (2.0 * c["width"] ** 2)) + 0.0 * t
         raise ConfigError(f"unknown field kind {self.kind!r}")
+
+    @cached_property
+    def _coef(self):
+        """Numeric params with their defaults, parsed on the first call only."""
+        return {k: np.atleast_1d(np.asarray(v, dtype=float)) if k in _VECTOR_KEYS else float(v)
+                for k, v in {**_FIELD_DEFAULTS, **self.params}.items()}
 
     def _axis_sum(self, x):
         if self.dim == 1:
@@ -86,9 +84,9 @@ class ScalarField:
         if self.kind in ("constant", "bump"):
             return True
         if self.kind == "affine":
-            return float(self.params.get("ct", 0.0)) == 0.0
+            return self._coef["ct"] == 0.0
         if self.kind == "trig":
-            return float(self.params.get("freq_t", 0.0)) == 0.0
+            return self._coef["freq_t"] == 0.0
         return False
 
 
@@ -114,6 +112,8 @@ _FIELD_KEYS = {
     "trig": {"base", "amp", "freq_x", "freq_t"},
     "bump": {"base", "amp", "center", "width"},
 }
+_FIELD_DEFAULTS = {"c0": 0.0, "ct": 0.0, "cx": 0.0, "freq_x": 1.0, "freq_t": 0.0, "center": 0.0}
+_VECTOR_KEYS = ("cx", "freq_x", "center")
 
 
 def parse_scalar_field(field_cfg: Mapping, dim: int) -> ScalarField:

@@ -6,9 +6,11 @@ partition trajectories arbitrarily and always reproduce the same numbers,
 and the whole block for a step vectorizes over trajectories.
 
 The mixer is the 64-bit finalizer used by splitmix-style generators, applied
-twice over a keyed combination of the inputs. Scalar key material is mixed
-in plain Python integers (wraparound by masking); only the vectorized part
-touches uint64 arrays, whose overflow is silent modular arithmetic.
+twice: once over (seed, index), which `lane_keys` returns and a chain lane
+keeps while it holds the index, and once over that key combined with (k, c).
+Scalar key material is mixed in plain Python integers (wraparound by
+masking); only the vectorized part touches uint64 arrays, whose overflow is
+silent modular arithmetic.
 """
 
 from __future__ import annotations
@@ -48,6 +50,26 @@ def _mix_arr(x):
     return x
 
 
+def lane_keys(seed: int, traj):
+    """The step-free half of the stream hash, one per trajectory id: a chain
+    lane computes it once when it takes an id."""
+    key = _mix_int((int(seed) & _M64) * _PHI + _C3)
+    return _mix_arr(np.asarray(traj, dtype=np.uint64) * _PHI_U + np.uint64(key))
+
+
+def keyed_uniforms(keys, step, channels=(0, 1)):
+    """Row c is uniforms(seed, traj, step, channels[c]) for the lanes whose
+    lane_keys(seed, traj) are keys; all channels share one mix."""
+    h = np.array([(int(c) * _C2 + _PHI) & _M64 for c in channels], dtype=np.uint64)
+    h = h.reshape((-1,) + (1,) * np.ndim(keys))
+    if np.ndim(step):
+        h = np.asarray(step, dtype=np.uint64) * _C1_U + h
+    else:
+        h += np.uint64(int(step) * _C1 & _M64)  # array arithmetic: silent wraparound
+    h = _mix_arr(h ^ keys)
+    return ((h >> _SH11).astype(np.float64) + 0.5) * (2.0**-53)
+
+
 def uniforms(seed: int, traj, step, channel: int):
     """Open-interval uniforms in (0, 1) for the given trajectories.
 
@@ -59,13 +81,4 @@ def uniforms(seed: int, traj, step, channel: int):
     if traj.ndim == 0:
         # numpy's scalar path warns on the intended uint64 wraparound
         return uniforms(seed, traj[None], step, channel)[0]
-    key = _mix_int((int(seed) & _M64) * _PHI + _C3)
-    channel_key = (int(channel) * _C2 + _PHI) & _M64
-    if np.ndim(step):
-        step_key = np.asarray(step, dtype=np.uint64) * _C1_U + np.uint64(channel_key)
-    else:
-        step_key = np.uint64((int(step) * _C1 + channel_key) & _M64)
-    h = _mix_arr(traj * _PHI_U + np.uint64(key))
-    h ^= step_key
-    h = _mix_arr(h)
-    return ((h >> _SH11).astype(np.float64) + 0.5) * (2.0**-53)
+    return keyed_uniforms(lane_keys(seed, traj), step, (channel,))[0]

@@ -276,6 +276,16 @@ def test_negative_trajectory_dump_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "rate-check", "--out", str(tmp_path / "o"),
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_halved_grid_exit_2(tmp_path, capsys):
     # n_x = 5 is a valid fine grid, but the self-convergence grid has 2 points
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "variable-order",

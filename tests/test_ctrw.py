@@ -7,8 +7,25 @@ import pytest
 from varfrac import ctrw, oracles, waiting
 from varfrac.errors import NonFiniteFunctional, StepBudgetExceeded
 from varfrac.kernels import kernel_family
+from varfrac.model import make_model
 
+from conftest import CONSTANT_ORDER, STABLE_HALF
 from scalar_chain import ChainState, TrajectoryStream, step_chain
+
+
+STABLE_TRIG = dict(STABLE_HALF, spatial={
+    "kind": "stable1d", "beta": 0.5,
+    "m": {"kind": "trig", "base": 0.5, "amp": 0.25, "freq_x": 1.0},
+    "m_lo": 0.25, "m_hi": 0.75,
+})
+DIFFUSION_2D = {
+    "alpha": 0.5,
+    "order_field": {"kind": "constant", "value": 1.0},
+    "a_lo": 1.0, "a_hi": 1.0,
+    "spatial": {"kind": "diffusion", "g_matrix": [[1.0, 0.5], [0.5, 1.0]],
+                "g_lo": 0.4, "g_hi": 1.6},
+    "dim": 2,
+}
 
 
 @pytest.fixture(scope="module")
@@ -217,17 +234,7 @@ def test_variable_order_chain_runs(varorder_model):
 
 
 def test_two_dimensional_chain_steps():
-    from varfrac.model import make_model
-
-    cfg = {
-        "alpha": 0.5,
-        "order_field": {"kind": "constant", "value": 1.0},
-        "a_lo": 1.0, "a_hi": 1.0,
-        "spatial": {"kind": "diffusion", "g_matrix": [[1.0, 0.5], [0.5, 1.0]],
-                    "g_lo": 0.4, "g_hi": 1.6},
-        "dim": 2,
-    }
-    model = make_model(cfg)
+    model = make_model(DIFFUSION_2D)
     fam = kernel_family(model)
     law = waiting.build_waiting_law(0.5, 0.5)
     state = ChainState(x=np.array([0.0, 0.0]), s=0.0)
@@ -303,6 +310,79 @@ def test_step_chain_replay_matches_ensemble(varorder_setup):
                                     uj, uw)
         assert state.x[0] == xs[i]
         assert state.k * 1e-2 == Ts[i]
+
+
+def test_narrow_call_replay_matches_last_lanes(varorder_setup):
+    # Fewer ids than lanes: no refill, and the vector shrinks as trajectories
+    # end, so the longest runs finish on lanes whose neighbours have dropped.
+    kw = varorder_setup
+    xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 1e-2, 1_000, 8, **kw)
+    assert 1_000 < ctrw._LANES
+    for i in np.argsort(Ts, kind="stable")[-3:]:
+        state = ChainState(x=np.array([0.0]), s=0.0)
+        st = TrajectoryStream(seed=8, traj_index=int(i))
+        while state.s < 1.0:
+            uj, uw = st.next_pair()
+            state = step_chain(state, 1e-2, kw["model"], kw["kernel_family"], kw["law"],
+                               uj, uw)
+        assert state.x[0] == xs[i]
+        assert state.k * 1e-2 == Ts[i]
+
+
+# Digests of chain paths the variable-order digests above do not reach,
+# recorded before the lane-key draw and the constant-coefficient kernels.
+# 40,000 ids refill the lane vector at one and at two threads.
+_PATH_SHA256 = {
+    "constant-order": "03a99ef18dd8df64a7a2df7823d9651679b66daac5fca7f8b10ca90060f6fbdc",
+    "stable-constant-m": "50d2e4f9878e318fd6e22e621c48615014a4595a6a9c3c87892fc76c5eecd54f",
+    "stable-trig-m": "415bed9802493443527829870385bbab37a3c4f2c300e3d112ecb1e9a9233e41",
+    "diffusion-2d": "3ca6b9b2dc842428048470b626474abbfa5a8fd84e0554a820116fcacbb6027b",
+}
+_PATH_CONFIGS = {
+    "constant-order": (CONSTANT_ORDER, 0.0),
+    "stable-constant-m": (STABLE_HALF, 0.0),
+    "stable-trig-m": (STABLE_TRIG, 0.0),
+    "diffusion-2d": (DIFFUSION_2D, np.zeros(2)),
+}
+
+
+def _hitting_bytes(cfg, x0, n_traj=40_000, threads=1):
+    model = make_model(cfg)
+    law = waiting.build_waiting_law(model.gamma_lo, model.gamma_hi)
+    xs, Ts = ctrw.sample_hitting(x0, 0.0, 1.0, 1e-2, n_traj, 8, model=model,
+                                 kernel_family=kernel_family(model), law=law, threads=threads)
+    return xs.tobytes() + Ts.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("path", sorted(_PATH_SHA256))
+def test_chain_path_golden_digest(path, threads):
+    cfg, x0 = _PATH_CONFIGS[path]
+    digest = hashlib.sha256(_hitting_bytes(cfg, x0, threads=threads)).hexdigest()
+    assert digest == _PATH_SHA256[path]
+
+
+@pytest.mark.parametrize("cfg, coef", [(CONSTANT_ORDER, "g"), (STABLE_HALF, "m")])
+def test_constant_coefficient_matches_field_path(cfg, coef):
+    # An affine field with only c0 set is evaluated at every step; the
+    # constant kind may be read once. Both must give the same bytes.
+    value = cfg["spatial"][coef]["value"]
+    affine = dict(cfg, spatial=dict(cfg["spatial"], **{coef: {"kind": "affine", "c0": value}}))
+    assert _hitting_bytes(affine, 0.0, 20_000) == _hitting_bytes(cfg, 0.0, 20_000)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_chain_entry_points_reject_threads_below_one(const_setup, threads):
+    model, fam, law = const_setup
+    kw = dict(model=model, kernel_family=fam, law=law, threads=threads)
+    calls = [
+        lambda: ctrw.estimate_functional(np.cos, 0.0, 0.0, 1.0, 0.05, 200, 1, **kw),
+        lambda: ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 200, 1, **kw),
+        lambda: ctrw.sample_chain_at_steps(0.0, 0.0, 0.05, [5], 200, 1, **kw),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            call()
 
 
 def test_step_budget_enforced_per_lane(const_setup):

@@ -2,7 +2,8 @@ import warnings
 
 import numpy as np
 
-from varfrac.streams import uniforms
+from varfrac.streams import (_C1, _C2, _C3, _M64, _PHI, _mix_int, keyed_uniforms,
+                             lane_keys, uniforms)
 
 from scalar_chain import TrajectoryStream
 
@@ -63,3 +64,25 @@ def test_scalar_index_takes_the_array_path():
     assert np.shape(u) == () and np.shape(steps) == ()
     assert u == uniforms(1, np.array([5]), 1, 0)[0]
     assert steps == uniforms(1, np.array([5]), 2**40, 3)[0]
+
+
+def _reference_uniform(seed, traj, step, channel):
+    """One variate from the mixer in plain Python integers."""
+    key = _mix_int((seed & _M64) * _PHI + _C3)
+    h = _mix_int(traj * _PHI + key)
+    h ^= (step * _C1 + channel * _C2 + _PHI) & _M64
+    return ((_mix_int(h) >> 11) + 0.5) * 2.0**-53
+
+
+def test_lane_key_draw_matches_uniforms():
+    traj = np.array([0, 17, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    per_lane = np.array([1, 2**40, 7, 2**64 - 1, 3], dtype=np.uint64)
+    keys = lane_keys(11, traj)
+    for step in (per_lane, 5, 2**64 - 1):
+        u = keyed_uniforms(keys, step)
+        assert u.shape == (2, len(traj))
+        steps = np.broadcast_to(np.asarray(step, dtype=np.uint64), traj.shape)
+        for c in (0, 1):
+            assert np.array_equal(u[c], uniforms(11, traj, step, c))
+            ref = [_reference_uniform(11, int(i), int(k), c) for i, k in zip(traj, steps)]
+            assert np.array_equal(u[c], ref)
