@@ -16,7 +16,7 @@ import numpy as np
 from . import ctrw, oracles, solver, subordination, svgplot, waiting
 from .errors import ConfigError, VarfracError
 from .kernels import kernel_family
-from .model import make_model
+from .model import _check_int, _check_number, make_model
 
 CSV_COLUMNS = [
     "experiment", "quantity", "alpha", "gamma", "beta", "tau", "h", "x0", "n",
@@ -157,7 +157,7 @@ def validate_config(config) -> dict:
     if "model" in merged:
         try:
             make_model(merged["model"])
-        except (VarfracError, ValueError, TypeError) as exc:
+        except (VarfracError, ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"invalid model: {exc}") from exc
     return merged
 
@@ -195,17 +195,6 @@ def _check_numerics(name, num):
         _check_grid("grid", [num["n_x"], num["n_s"]])
     if name == "variable-order":
         _check_grid("halved grid", [num["n_x"] // 2, num["n_s"] // 2])
-
-
-def _check_int(name, n, lo):
-    if isinstance(n, bool) or not isinstance(n, int) or n < lo:
-        raise ConfigError(f"{name} must be an integer of at least {lo}, got {n!r}")
-
-
-def _check_number(name, v, lo=-math.inf, hi=math.inf):
-    """v must be a number (not a bool) inside the open interval (lo, hi)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not lo < v < hi:
-        raise ConfigError(f"{name} must be a number in ({lo:g}, {hi:g}), got {v!r}")
 
 
 def _check_list(name, values, check, *args):
@@ -263,8 +252,7 @@ def run_rate_check(config, threads=1) -> ExperimentOutput:
     plot_series = []
     for alpha in num["alphas"]:
         law = waiting.build_waiting_law(alpha, alpha)
-        f = waiting.RateTestFunction(fn=lambda y: y * np.exp(-y), lipschitz=1.0,
-                                     name="y*exp(-y)")
+        f = waiting.RateTestFunction(fn=lambda y: y * np.exp(-y), lipschitz=1.0)
         rep = waiting.check_rate(law, alpha, f, num["h_values"])
         for h, err, bound in zip(rep.h_values, rep.errors, rep.bound_values):
             rows.append(_row("rate-check", "rate_error", err, alpha=alpha, h=h))

@@ -198,7 +198,6 @@ class TestFunction:
     fn: object
     d2: object = None
     hess: object = None
-    name: str = ""
 
 
 def generator_residual(model: Model, tau: float, f_set, x_grid) -> float:

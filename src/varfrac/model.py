@@ -7,6 +7,7 @@ sampling at construction time with zero tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -22,6 +23,18 @@ from .errors import (
 )
 
 _VALIDATION_POINTS = 10_000
+
+
+def _check_int(name, n, lo):
+    if isinstance(n, bool) or not isinstance(n, int) or n < lo:
+        raise ConfigError(f"{name} must be an integer of at least {lo}, got {n!r}")
+
+
+def _check_number(name, v, lo=-math.inf, hi=math.inf):
+    """v must be a number (not a bool) inside the open interval (lo, hi),
+    so NaN and the infinities never pass."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not lo < v < hi:
+        raise ConfigError(f"{name} must be a number in ({lo:g}, {hi:g}), got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +139,10 @@ def parse_scalar_field(field_cfg: Mapping, dim: int) -> ScalarField:
     unknown = set(params) - _FIELD_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} for field kind {kind!r}")
+    for key, v in params.items():
+        vector = key in _VECTOR_KEYS and isinstance(v, (list, tuple))
+        for entry in v if vector else [v]:
+            _check_number(f"{kind} field {key}", entry)
     return ScalarField(kind=kind, params=params, dim=dim)
 
 
@@ -166,8 +183,6 @@ class Model:
     a_hi: float
     spatial: Diffusion | Stable1D
     dim: int
-    x_box: tuple = ((-np.pi, np.pi),)
-    t_max: float = 2.0
 
     @property
     def beta(self) -> float:
@@ -191,35 +206,37 @@ def gamma_at(model: Model, s, x):
 # construction and validation
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = {"alpha", "order_field", "a_lo", "a_hi", "spatial", "dim", "x_box", "t_max"}
+_MODEL_KEYS = {"alpha", "order_field", "a_lo", "a_hi", "spatial", "dim"}
 _DIFFUSION_KEYS = {"kind", "g", "g_lo", "g_hi", "g_matrix"}
 _STABLE_KEYS = {"kind", "beta", "m", "m_lo", "m_hi"}
 
 
-def _sample_grid(model_dim, x_box, t_max, n_points):
-    """Cartesian (t, x) sample grid with roughly n_points entries."""
+def _sample_grid(model_dim, n_points):
+    """Cartesian (t, x) sample grid over [0, 2] x [-pi, pi]^d, the solver's
+    periodic cell, with roughly n_points entries."""
     if model_dim == 1:
         n_side = int(np.sqrt(n_points))
-        ts = np.linspace(0.0, t_max, n_side)
-        xs = np.linspace(x_box[0][0], x_box[0][1], n_side)
+        ts = np.linspace(0.0, 2.0, n_side)
+        xs = np.linspace(-np.pi, np.pi, n_side)
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
         return tt.ravel(), xx.ravel()
     n_t = max(4, int(round(n_points ** (1.0 / 3.0))))
     n_side = max(4, int(np.sqrt(n_points // n_t)))
-    ts = np.linspace(0.0, t_max, n_t)
-    g0 = np.linspace(x_box[0][0], x_box[0][1], n_side)
-    g1 = np.linspace(x_box[1][0], x_box[1][1], n_side)
-    tt, a0, a1 = np.meshgrid(ts, g0, g1, indexing="ij")
+    ts = np.linspace(0.0, 2.0, n_t)
+    g0 = np.linspace(-np.pi, np.pi, n_side)
+    tt, a0, a1 = np.meshgrid(ts, g0, g0, indexing="ij")
     return tt.ravel(), np.stack([a0.ravel(), a1.ravel()], axis=-1)
 
 
 def make_model(config: Mapping) -> Model:
     """Build a validated Model from a parsed configuration mapping.
 
-    Rejects any violation of the declared bounds: the product of the upper
-    order bound with alpha must stay below 1, every lower bound must be
-    strictly positive, and the coefficient fields are spot-checked on a
-    dense grid against their declared ranges (hard reject, no tolerance).
+    Every scalar entry must be a finite number and dim an integer in
+    {1, 2}. Rejects any violation of the declared bounds: the product of
+    the upper order bound with alpha must stay below 1, every lower bound
+    must be strictly positive, and the coefficient fields are spot-checked
+    on a dense grid against their declared ranges (hard reject, no
+    tolerance).
     """
     if not isinstance(config, Mapping):
         raise ConfigError("model config must be a mapping")
@@ -230,10 +247,15 @@ def make_model(config: Mapping) -> Model:
         if key not in config:
             raise ConfigError(f"model config missing {key!r}")
 
+    for key in ("alpha", "a_lo", "a_hi"):
+        _check_number(key, config[key])
     alpha = float(config["alpha"])
     a_lo = float(config["a_lo"])
     a_hi = float(config["a_hi"])
-    dim = int(config["dim"])
+    dim = config["dim"]
+    _check_number("dim", dim)
+    if isinstance(dim, float) or dim not in (1, 2):
+        raise DimensionUnsupported(f"dim must be the integer 1 or 2, got {dim!r}")
     if not 0.0 < alpha < 1.0:
         raise OrderBoundViolation(f"alpha must lie in (0,1), got {alpha}")
     if a_lo <= 0.0:
@@ -245,11 +267,6 @@ def make_model(config: Mapping) -> Model:
             f"a_hi * alpha = {a_hi * alpha} >= 1; the upper order bound is too large"
         )
 
-    x_box = tuple(tuple(map(float, pair)) for pair in config.get("x_box", ((-np.pi, np.pi),) * dim))
-    if len(x_box) != dim:
-        raise ConfigError("x_box must supply one (lo, hi) pair per dimension")
-    t_max = float(config.get("t_max", 2.0))
-
     order_field = parse_scalar_field(config["order_field"], dim)
 
     spatial_cfg = config["spatial"]
@@ -260,8 +277,8 @@ def make_model(config: Mapping) -> Model:
         unknown = set(spatial_cfg) - _DIFFUSION_KEYS
         if unknown:
             raise ConfigError(f"unknown spatial keys {sorted(unknown)}")
-        if dim not in (1, 2):
-            raise DimensionUnsupported(f"diffusion supports d in {{1, 2}}, got d={dim}")
+        for key in ("g_lo", "g_hi"):
+            _check_number(key, spatial_cfg[key])
         g_lo = float(spatial_cfg["g_lo"])
         g_hi = float(spatial_cfg["g_hi"])
         if g_lo <= 0.0:
@@ -283,9 +300,10 @@ def make_model(config: Mapping) -> Model:
             raise ConfigError(f"unknown spatial keys {sorted(unknown)}")
         if dim != 1:
             raise DimensionUnsupported(f"stable part requires d=1, got d={dim}")
+        _check_number("beta", spatial_cfg["beta"], 0.0, 2.0)
+        for key in ("m_lo", "m_hi"):
+            _check_number(key, spatial_cfg[key])
         beta = float(spatial_cfg["beta"])
-        if not 0.0 < beta < 2.0:
-            raise ConfigError(f"beta must lie in (0,2), got {beta}")
         m_lo = float(spatial_cfg["m_lo"])
         m_hi = float(spatial_cfg["m_hi"])
         if m_lo <= 0.0:
@@ -303,15 +321,13 @@ def make_model(config: Mapping) -> Model:
         a_hi=a_hi,
         spatial=spatial,
         dim=dim,
-        x_box=x_box,
-        t_max=t_max,
     )
     _validate_fields(model)
     return model
 
 
 def _validate_fields(model: Model) -> None:
-    ts, xs = _sample_grid(model.dim, model.x_box, model.t_max, _VALIDATION_POINTS)
+    ts, xs = _sample_grid(model.dim, _VALIDATION_POINTS)
     a_vals = model.order_field(ts, xs)
     if np.min(a_vals) < model.a_lo or np.max(a_vals) > model.a_hi:
         raise OrderBoundViolation(

@@ -179,28 +179,28 @@ def _talbot(gamma, s, level, cdf, degree):
     return out.reshape(s.shape + level.shape)
 
 
-def invert_laplace(gamma: float, s, level, cdf=False, degree=32, check_degree=44, tol=1e-6):
+def invert_laplace(gamma: float, s, level, cdf=False, check_degree=44):
     """Density of S_s at each level, or with cdf=True P(S_s <= level), by
     fixed Talbot inversion of exp(-s psi(lam)) (divided by lam for the CDF),
     psi being `laplace_exponent`.
 
     s and level are each a scalar or 1-D; the result has shape
     s.shape + level.shape. psi is evaluated once per degree on the nodes
-    delta/level. Both degrees run and must agree within tol, else
-    InversionFailure; the check_degree values are returned. Where the contour
-    integrand overflows the value is 0: for these completely monotone
-    transforms that happens only at levels far below S_s's scale, where the
-    true value is superexponentially small.
+    delta/level. Degree 32 and check_degree both run and must agree within
+    1e-6, else InversionFailure; the check_degree values are returned. Where
+    the contour integrand overflows the value is 0: for these completely
+    monotone transforms that happens only at levels far below S_s's scale,
+    where the true value is superexponentially small.
     """
     s = np.asarray(s, dtype=float)
     level = np.asarray(level, dtype=float)
     if np.any(level <= 0.0):
         raise InversionFailure("Talbot inversion requires strictly positive levels")
-    a = _talbot(gamma, s, level, cdf, degree)
+    a = _talbot(gamma, s, level, cdf, 32)
     b = _talbot(gamma, s, level, cdf, check_degree)
     gap = np.max(np.abs(a - b), initial=0.0)
-    if gap > tol:
-        raise InversionFailure(f"Talbot degrees {degree}/{check_degree} disagree by {gap:.3g}")
+    if gap > 1e-6:
+        raise InversionFailure(f"Talbot degrees 32/{check_degree} disagree by {gap:.3g}")
     return b
 
 
@@ -239,24 +239,17 @@ class ConstantOrderDensity:
     second-order coefficient g0: position and the increasing coordinate are
     independent, Gaussian times one-sided stable.
 
-    Exposes exact cell masses (erf and Laplace-inverted CDF differences) so
-    quadratures against it need not sample the near-origin density spike;
-    `subordination` takes the y masses one u at a time and the v masses for
-    all its u nodes in one call.
+    Exposes only exact cell masses (erf and Laplace-inverted CDF
+    differences), so quadratures against it need not sample the near-origin
+    density spike; `subordination` takes the y masses one u at a time, the v
+    masses for all its u nodes in one call, and searches its u range through
+    the v mass below the crossing level.
     """
 
     gamma: float
     g0: float
     x0: float
     s0: float
-
-    def density(self, u: float, y_centers: np.ndarray, v_centers: np.ndarray) -> np.ndarray:
-        """Joint density on the (y, v) grid at elapsed operational time u."""
-        var = self.g0 * u
-        gy = np.exp(-((y_centers - self.x0) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-        w = v_centers - self.s0
-        gv = subordinator_density(self.gamma, u, w)
-        return gy[:, None] * gv[None, :]
 
     def y_cell_masses(self, u: float, y_edges: np.ndarray) -> np.ndarray:
         from scipy.special import ndtr
@@ -278,13 +271,12 @@ def hitting_time_cdf(gamma: float, t: float, u) -> np.ndarray:
     out = np.zeros_like(u)
     pos = u > 0.0
     if np.any(pos):
-        out[pos] = 1.0 - invert_laplace(gamma, u[pos], t, cdf=True)
-    return np.clip(out, 0.0, 1.0)
+        out[pos] = 1.0 - subordinator_cdf(gamma, u[pos], t)[:, 0]
+    return out
 
 
-def time_changed_gaussian_density(
-    gamma: float, g0: float, x0: float, t: float, y, n_u: int = 2000, u_max: float | None = None
-) -> np.ndarray:
+def time_changed_gaussian_density(gamma: float, g0: float, x0: float, t: float, y,
+                                  n_u: int = 2000) -> np.ndarray:
     """Density of the position at horizon t: a Gaussian mixture over the
     first-passage time of the increasing coordinate.
 
@@ -292,12 +284,11 @@ def time_changed_gaussian_density(
     chain engine and of the subordination quadrature.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if u_max is None:
-        u_max = 1.0
-        while hitting_time_cdf(gamma, t, np.array([u_max]))[0] < 1.0 - 1e-8:
-            u_max *= 2.0
-            if u_max > 1e6:
-                raise InversionFailure("first-passage CDF did not saturate")
+    u_max = 1.0
+    while hitting_time_cdf(gamma, t, np.array([u_max]))[0] < 1.0 - 1e-8:
+        u_max *= 2.0
+        if u_max > 1e6:
+            raise InversionFailure("first-passage CDF did not saturate")
     edges = np.linspace(0.0, u_max, n_u + 1)
     cdf_vals = hitting_time_cdf(gamma, t, edges[1:])
     cdf_lo = np.concatenate([[0.0], cdf_vals[:-1]])

@@ -23,17 +23,15 @@ from .model import Diffusion, Model
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic x-grid and uniform s-grid on [0, t]."""
+    """Uniform periodic x-grid on [-pi, pi) and uniform s-grid on [0, t]."""
 
     n_x: int
     n_s: int
     t: float
-    period: float = 2.0 * np.pi
-    x_lo: float = -np.pi
 
     @property
     def dx(self) -> float:
-        return self.period / self.n_x
+        return 2.0 * np.pi / self.n_x
 
     @property
     def ds(self) -> float:
@@ -41,7 +39,7 @@ class Grid:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x_lo + self.dx * np.arange(self.n_x)
+        return -np.pi + self.dx * np.arange(self.n_x)
 
     @property
     def s(self) -> np.ndarray:

@@ -64,10 +64,7 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def subordinated_expectation(model: Model, G, F, x0, s0, t, K=None,
-                             n_v: int = 512, n_y: int = 513,
-                             y_halfwidth: float | None = None,
-                             u_max: float | None = None,
+def subordinated_expectation(model: Model, G, F, x0, s0, t, n_v: int = 512, n_y: int = 513,
                              n_u: int = 257) -> SubordinationResult:
     """E[F at the horizon] as the triple quadrature
     int dy int du int_s0^t dv (t-v)^(-gamma(v,y))/gamma(v,y) G(u; y,v) F(y).
@@ -76,18 +73,12 @@ def subordinated_expectation(model: Model, G, F, x0, s0, t, K=None,
     contributes the exact starting-point term) or an analytic object with
     .y_cell_masses(u, y_edges) and .v_cell_masses(u_vector, v_edges)
     (quadrature axes built here from the keyword sizes).
-    K, when given, truncates the operational-time integral to [1/K, K].
     """
-    value, band = _time_change(
-        model, G, F, x0, s0, t, K, *_axes(model, G, x0, s0, t, n_v, n_y, y_halfwidth, u_max, n_u)
-    )
+    value, band = _time_change(model, G, F, x0, s0, t, *_axes(model, G, x0, s0, t, n_v, n_y, n_u))
     return SubordinationResult(value=float(value), band=float(band))
 
 
-def subordinated_density(model: Model, G, x0, s0, t, K=None,
-                         n_v: int = 512, n_y: int = 513,
-                         y_halfwidth: float | None = None,
-                         u_max: float | None = None,
+def subordinated_density(model: Model, G, x0, s0, t, n_v: int = 512, n_y: int = 513,
                          n_u: int = 257):
     """Density of the walk position at the horizon over the y bins of G (or
     of the quadrature axes for an analytic G).
@@ -96,15 +87,16 @@ def subordinated_density(model: Model, G, x0, s0, t, K=None,
     the expectation with F replaced by each bin's indicator over its width;
     the output integrates to 1 within the grid's resolution.
     """
-    axes = _axes(model, G, x0, s0, t, n_v, n_y, y_halfwidth, u_max, n_u)
-    dens, band = _time_change(model, G, None, x0, s0, t, K, *axes)
+    axes = _axes(model, G, x0, s0, t, n_v, n_y, n_u)
+    dens, band = _time_change(model, G, None, x0, s0, t, *axes)
     y_edges = axes[0]
     return 0.5 * (y_edges[:-1] + y_edges[1:]), dens, band
 
 
-def _axes(model, G, x0, s0, t, n_v, n_y, y_halfwidth, u_max, n_u):
+def _axes(model, G, x0, s0, t, n_v, n_y, n_u, u_max=None):
     """(y_edges, v_edges, u_max, n_u) of the quadrature; an empirical grid
-    brings its own axes and u nodes."""
+    brings its own axes and u nodes. Without u_max (the bridge head passes
+    its first histogram time) the u range is searched for."""
     if isinstance(G, DensityGrid):
         if G.v_edges[0] > s0 + 1e-12:
             raise SingularityResolutionError("v grid must start at or below s0")
@@ -112,23 +104,16 @@ def _axes(model, G, x0, s0, t, n_v, n_y, y_halfwidth, u_max, n_u):
             raise SingularityResolutionError("v grid must reach the horizon t")
         return G.y_edges, G.v_edges, None, None
     if u_max is None:
-        u_max = _find_u_max(model, G, x0, s0, t)
-    if y_halfwidth is None:
-        y_halfwidth = _default_y_halfwidth(model, u_max)
+        u_max = _find_u_max(G, s0, t)
+    sp = model.spatial
+    y_halfwidth = 8.0 * math.sqrt(sp.g_hi * u_max) + 1.0 if isinstance(sp, Diffusion) else 40.0
     y_edges = np.linspace(x0 - y_halfwidth, x0 + y_halfwidth, n_y + 1)
     if n_u % 2 == 0:
         n_u += 1
     return y_edges, np.linspace(s0, t, n_v + 1), u_max, n_u
 
 
-def _window(nodes, K):
-    """Mask of the u nodes inside the truncation window [1/K, K]."""
-    if K is None:
-        return np.ones(nodes.shape, dtype=bool)
-    return (nodes >= 1.0 / K) & (nodes <= K)
-
-
-def _time_change(model, G, F, x0, s0, t, K, y_edges, v_edges, u_max, n_u):
+def _time_change(model, G, F, x0, s0, t, y_edges, v_edges, u_max, n_u):
     """Integral over u of the u-integrand: the first moment of the theta
     weight under the pair law G(u; y, v), weighted over y by F, or with F
     None by each bin's indicator over its width (one value per y bin).
@@ -136,10 +121,9 @@ def _time_change(model, G, F, x0, s0, t, K, y_edges, v_edges, u_max, n_u):
     Returns (value, band). An empirical G gives per-node second moments too,
     and their multinomial spread is propagated to the band; its measured
     nodes are integrated by the trapezoid rule, starting from the exact
-    u = 0 term, or, for a 1-D diffusion without K, from the frozen-coefficient
+    u = 0 term, or, for a 1-D diffusion, from the frozen-coefficient
     quadrature of the same integrand over [0, u_1]. An analytic G is
-    integrated by Simpson's rule in q = sqrt(u), or with K by the trapezoid
-    rule over the window.
+    integrated by Simpson's rule in q = sqrt(u).
     """
     y_centers = 0.5 * (y_edges[:-1] + y_edges[1:])
     keep, integrals = _theta_cell_weights(model, t, v_edges, y_centers)
@@ -172,7 +156,7 @@ def _time_change(model, G, F, x0, s0, t, K, y_edges, v_edges, u_max, n_u):
             var.append(np.maximum(second - first * first, 0.0) / G.n_traj / dy**2)
         nodes = np.concatenate([[0.0], G.u_values])
         rows, sig = np.array(rows), np.sqrt(var)
-        bridge = _local_frozen_density(model, x0, s0) if K is None else None
+        bridge = _local_frozen_density(model, x0, s0)
         if bridge is not None:
             # The frozen-coefficient head replaces the u = 0 row. Each output
             # keeps its own head axes: the density the histogram's y bins.
@@ -180,36 +164,27 @@ def _time_change(model, G, F, x0, s0, t, K, y_edges, v_edges, u_max, n_u):
             if F is None:
                 head_axes = (y_edges, np.linspace(s0, t, 129), u1, 65)
             else:
-                head_axes = _axes(model, bridge, x0, s0, t, 256, 257, None, u1, 129)
-            head, _ = _time_change(model, bridge, F, x0, s0, t, None, *head_axes)
+                head_axes = _axes(model, bridge, x0, s0, t, 256, 257, 129, u_max=u1)
+            head, _ = _time_change(model, bridge, F, x0, s0, t, *head_axes)
             w = _trapezoid_weights(nodes[1:])
             return head + w @ rows[1:], w @ sig[1:]
-        win = _window(nodes, K)
-        w = _trapezoid_weights(nodes[win])
-        return w @ rows[win], w @ sig[win]
+        w = _trapezoid_weights(nodes)
+        return w @ rows, w @ sig
 
-    if K is None:
-        # Substitute u = q^2 (the start-point factor behaves like u^(-1/2))
-        # and run composite Simpson on the smooth q-integrand.
-        q = np.linspace(0.0, math.sqrt(u_max), n_u)
-        nodes, jac = q * q, 2.0 * q
-    else:
-        nodes = np.linspace(0.0, u_max, n_u)
-        nodes = nodes[_window(nodes, K)]
-        jac = np.ones_like(nodes)
+    # Substitute u = q^2 (the start-point factor behaves like u^(-1/2))
+    # and run composite Simpson on the smooth q-integrand.
+    q = np.linspace(0.0, math.sqrt(u_max), n_u)
+    nodes, jac = q * q, 2.0 * q
     live = nodes > 0.0
     vals = np.zeros(nodes.shape + np.shape(dy))
     for i, mv in zip(np.flatnonzero(live), G.v_cell_masses(nodes[live], v_edges)):
         my = G.y_cell_masses(nodes[i], y_edges)
         vals[i] = (jac[i] * (my / dy)) * (coef @ mv) if F is None else jac[i] * (my @ coef @ mv)
-    if K is not None:
-        value = _trapezoid_weights(nodes) @ vals
-    else:
-        h = q[1] - q[0]
-        value = h / 3.0 * (
-            vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2], axis=0)
-            + 2.0 * np.sum(vals[2:-1:2], axis=0)
-        )
+    h = q[1] - q[0]
+    value = h / 3.0 * (
+        vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2], axis=0)
+        + 2.0 * np.sum(vals[2:-1:2], axis=0)
+    )
     return value, np.zeros_like(value)
 
 
@@ -225,28 +200,15 @@ def _local_frozen_density(model, x0, s0):
     return ConstantOrderDensity(gamma=gam0, g0=g0, x0=x0f, s0=float(s0))
 
 
-def _find_u_max(model, G, x0, s0, t, tol=1e-10):
-    """Smallest horizon after which the pair density puts negligible mass
-    below the crossing level (probed on a coarse grid)."""
-    probe_v = np.linspace(s0, t, 65)[1:]
-    dv = probe_v[1] - probe_v[0]
+def _find_u_max(G, s0, t):
+    """Smallest horizon on a 1.5x ladder after which the pair law puts mass
+    below 1e-10 under the crossing level: the v-cell mass of [s0, t]."""
     u = max(t - s0, 1e-3)
     for _ in range(60):
-        hw = _default_y_halfwidth(model, u)
-        probe_y = np.linspace(x0 - hw, x0 + hw, 41)
-        dy = probe_y[1] - probe_y[0]
-        dens = G.density(u, probe_y, probe_v)
-        stay = float(np.sum(dens) * dv * dy)
-        if stay < tol:
+        if float(G.v_cell_masses(u, [s0, t])[0]) < 1e-10:
             return u
         u *= 1.5
     return u
-
-
-def _default_y_halfwidth(model, u_max):
-    if isinstance(model.spatial, Diffusion):
-        return 8.0 * math.sqrt(model.spatial.g_hi * u_max) + 1.0
-    return 40.0
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +217,7 @@ def _default_y_halfwidth(model, u_max):
 
 
 def discrete_subordinated_expectation(model: Model, dlaw: DiscretizedWaitingLaw, F,
-                                      x0, s0, t, tau, K=None,
+                                      x0, s0, t, tau,
                                       max_cells: int = 1 << 26):
     """Exact expectation of F at the crossing step for the discrete chain
     with atomized waiting law, by forward recursion on the state lattice.
@@ -303,9 +265,6 @@ def discrete_subordinated_expectation(model: Model, dlaw: DiscretizedWaitingLaw,
     if f_x.shape != xs.shape:
         f_x = np.broadcast_to(f_x, xs.shape).astype(float)
 
-    lo_w = 0.0 if K is None else 1.0 / K
-    hi_w = math.inf if K is None else float(K)
-
     total = 0.0
     k = 0
     while True:
@@ -322,9 +281,7 @@ def discrete_subordinated_expectation(model: Model, dlaw: DiscretizedWaitingLaw,
         j_min = np.ceil(q - m_idx)
         j_min = np.clip(j_min, 0, J).astype(int)
         cp = p_lump + suffix[j_min]
-        in_window = lo_w <= (k + 1) * tau <= hi_w
-        if in_window:
-            total += float(f_x @ (Pj @ cp))
+        total += float(f_x @ (Pj @ cp))
         # propagate the non-crossing atoms
         P_next = np.zeros_like(P)
         for j in range(J):

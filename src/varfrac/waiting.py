@@ -160,7 +160,6 @@ class RateTestFunction:
 
     fn: object
     lipschitz: float
-    name: str = ""
     support_lo: float = 0.0  # f vanishes below this point (0 = unrestricted)
 
 

@@ -16,6 +16,8 @@ import pytest
 from varfrac import experiments
 from varfrac.experiments import PRESETS, evaluate_checks
 
+pytestmark = pytest.mark.slow
+
 
 def _run(name):
     config = experiments.validate_config(PRESETS[name])

@@ -120,13 +120,20 @@ def test_mutated_config_exits_0_2_or_3(experiment, data):
               "numerics": dict(_REDUCED_NUMERICS[experiment])}
     keys = sorted(config) + ["model", "output_dir"]
     keys += [f"numerics.{k}" for k in sorted(PRESETS[experiment]["numerics"])]
+    model = PRESETS[experiment].get("model")
+    if model is not None:
+        keys += [f"model.{k}" for k in sorted(model)]
+        keys += [f"model.spatial.{k}" for k in sorted(model["spatial"])]
     key = data.draw(st.sampled_from(keys))
     value = data.draw(st.sampled_from(_BAD_VALUES))
     assume(not (key == "numerics" and value == {}))  # {} is the full-size preset
-    if key.startswith("numerics."):
-        config["numerics"][key.split(".", 1)[1]] = value
-    else:
-        config[key] = value
+    *parents, leaf = key.split(".")
+    if parents[:1] == ["model"]:
+        config["model"] = json.loads(json.dumps(model))
+    target = config
+    for part in parents:
+        target = target[part]
+    target[leaf] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -189,6 +196,36 @@ def test_bad_model_exit_2(tmp_path, capsys, change):
     cfg = _write(tmp_path, "bad.json", {**SMALL_TRI, "model": model})
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "invalid model" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_DIFFUSION = PRESETS["triangulation"]["model"]["spatial"]
+_STABLE = {"kind": "stable1d", "beta": 0.5, "m": {"kind": "constant", "value": 0.25},
+           "m_lo": 0.25, "m_hi": 0.25}
+
+
+# A wrong type, a non-finite value or a missing bound in any model entry,
+# nested ones too, must stop the run before any output exists, naming the
+# entry.
+@pytest.mark.parametrize("key, change", [
+    ("a_lo", {"a_lo": math.nan}),
+    ("a_hi", {"a_hi": math.nan}),
+    ("alpha", {"alpha": "0.5"}),
+    ("a_lo", {"a_lo": True}),
+    ("dim", {"dim": 1.7}),
+    ("value", {"order_field": {"kind": "constant", "value": math.nan}}),
+    ("g_lo", {"spatial": {**_DIFFUSION, "g_lo": math.nan}}),
+    ("g_hi", {"spatial": {**_DIFFUSION, "g_hi": math.inf}}),
+    ("g_lo", {"spatial": {k: v for k, v in _DIFFUSION.items() if k != "g_lo"}}),
+    ("beta", {"spatial": {**_STABLE, "beta": "0.5"}}),
+    ("m_hi", {"spatial": {**_STABLE, "m_hi": "0.25"}}),
+])
+def test_bad_model_value_exit_2(tmp_path, capsys, key, change):
+    model = {**PRESETS["triangulation"]["model"], **change}
+    cfg = _write(tmp_path, "bad.json", {**SMALL_TRI, "model": model})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid model" in err and key in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -74,29 +74,6 @@ def test_linearity_and_bound(const_model, analytic_G, ones):
     assert abs(r1.value) <= 1.0 * norm.value + 1e-12
 
 
-def test_truncation_monotone(const_model, analytic_G, ones):
-    vals = [
-        subordination.subordinated_expectation(
-            const_model, analytic_G, ones, 0.0, 0.0, 1.0, K=K
-        ).value
-        for K in (3.0, 10.0, 40.0)
-    ]
-    assert vals[0] <= vals[1] <= vals[2]
-    full = subordination.subordinated_expectation(const_model, analytic_G, ones, 0.0, 0.0, 1.0)
-    assert vals[2] <= full.value + 1e-9
-
-
-def test_density_truncation_monotone(const_model, analytic_G):
-    masses = []
-    for K in (3.0, 10.0, 40.0, None):
-        y, q, _ = subordination.subordinated_density(
-            const_model, analytic_G, 0.0, 0.0, 1.0, K=K, n_v=128, n_y=129, n_u=65
-        )
-        masses.append(float(np.sum(q)) * (y[1] - y[0]))
-    assert masses[0] <= masses[1] <= masses[2] <= masses[3] + 1e-9
-    assert masses[0] < masses[3] - 0.1  # the window drops the u < 1/3 share
-
-
 def test_density_rejects_unknown_keywords(const_model, analytic_G):
     with pytest.raises(TypeError):
         subordination.subordinated_density(const_model, analytic_G, 0.0, 0.0, 1.0, n_q=65)
@@ -218,17 +195,6 @@ def test_recursion_single_step_case(lattice_setup):
     assert val == pytest.approx(0.5 * (math.cos(h) + math.cos(-h)), abs=1e-12)
 
 
-def test_recursion_window_contained(lattice_setup, ones):
-    model, dlaw, tau = lattice_setup
-    full, _ = subordination.discrete_subordinated_expectation(
-        model, dlaw, ones, 0.0, 0.0, 1.0, tau
-    )
-    windowed, _ = subordination.discrete_subordinated_expectation(
-        model, dlaw, ones, 0.0, 0.0, 1.0, tau, K=5.0
-    )
-    assert windowed <= full + 1e-12
-
-
 def test_recursion_matches_sampling(lattice_setup):
     model, dlaw, tau = lattice_setup
     val, _ = subordination.discrete_subordinated_expectation(
@@ -267,27 +233,20 @@ def test_recursion_lattice_guard(lattice_setup):
 # up to 6e-14 relative, since it now divides by each bin's width rather than
 # the centre spacing and applies the q-Jacobian before the bin product, as
 # the bridge head always did. The const model takes the frozen-coefficient
-# bridge head, the stable model the u = 0 start term, and K the truncation
-# window.
+# bridge head, the stable model the u = 0 start term.
 _GOLDEN = {
     "expectation-analytic-const":
         "723d3e9d8ad4ef2e16d11bb29b3e58a0fafe30080a0eace872a19e2c122fee99",
-    "expectation-analytic-const-K":
-        "1dc57ac046a67287290cd24a42ee4ca4ba9d493edcb7224e51c5b12086e355da",
     "expectation-analytic-varorder":
         "3f3d69a5755e0cd3bb875106ccb41105e09e0f4d21dcb50ea01261dbffc8d4ac",
     "expectation-empirical-const":
         "52486a55180d77b4868b84b46d2fdc1fefb0389740c1b561d117894393a738b2",
-    "expectation-empirical-const-K":
-        "6535a86edf8baab56d1943e2b18d578074a61ebf6429a3515663d04854c12078",
     "expectation-empirical-stable":
         "91cae698a74690ffe029060146dd95a5a4383f86a00280fcf5bfde7ce38c6d26",
     "density-analytic-const":
         "c0176f3aa14756643802e530f3422a5bdbc1e251a9dca3beccec70f594d64de5",
     "density-empirical-const":
         "d3b8a364635ceb6ae1f0fc56814521cdb6b4ae05e1566f14c0eda0b5565c055d",
-    "density-empirical-const-K":
-        "0c9b428a4f62e5c8535810ead207be2d284b13ef909364d640c4aa8cf9ab183e",
     "density-empirical-stable":
         "cdab8e4f719c9c68a78a468c301ae9823cc3a2e5c9a339475e207d50a30c7ad5",
 }
@@ -316,13 +275,12 @@ def _sha256(*arrays):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_quadrature_golden_digest(name, request, analytic_G, small_empirical_G):
-    output, source, model_name, *k = name.split("-")
+    output, source, model_name = name.split("-")
     model = request.getfixturevalue(f"{model_name}_model")
-    K = 10.0 if k else None
     G, grid = (analytic_G, _ANALYTIC_GRID) if source == "analytic" else (small_empirical_G, {})
     if output == "expectation":
-        r = subordination.subordinated_expectation(model, G, np.cos, 0.0, 0.0, 1.0, K=K, **grid)
+        r = subordination.subordinated_expectation(model, G, np.cos, 0.0, 0.0, 1.0, **grid)
         arrays = [np.array([r.value, r.band])]
     else:
-        arrays = subordination.subordinated_density(model, G, 0.0, 0.0, 1.0, K=K, **grid)
+        arrays = subordination.subordinated_density(model, G, 0.0, 0.0, 1.0, **grid)
     assert _sha256(*arrays) == _GOLDEN[name]
