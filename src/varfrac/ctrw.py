@@ -5,11 +5,15 @@ One kernel, `_advance`, moves every chain over a fixed-width lane vector: a
 lane carries a trajectory id with its own step count, position and time, and
 takes the next id of its worker's range when its trajectory ends. On the
 fixed-step path every lane starts and ends together, so its lanes move in
-lockstep and share one step count. Step k of
-trajectory i reads only the variates keyed by (seed, i, k), so lane width and
-thread count (at least 1) are free to vary. A lane hashes (seed, i) once
-when it takes id i; each step mixes only (k, channel) into that key. The
-reduction blocks are fixed: F is summed over the same `_CHUNK`-id blocks,
+lockstep and share one step count. Step k of trajectory i reads only the
+variates keyed by (seed, i, k), so lane width and thread count (at least 1)
+are free to vary. A lane hashes (seed, i) once when it takes id i; each step
+mixes only (k, channel) into that key. Once no id waits for a lane, a thinned
+vector of L lanes advances _LANES // L steps per pass when the jump law
+ignores position, the order ignores time and no callback sees every step:
+positions then follow from the jumps alone and times from the positions, so
+both are running sums over the pass, added in step order, and the bits are
+those of one step per pass. The reduction blocks are fixed: F is summed over the same `_CHUNK`-id blocks,
 combined in block order with exact compensated summation, so estimates are
 bit-identical for any thread count.
 """
@@ -65,15 +69,22 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
     """Run trajectories ids over at most _LANES lanes; return their final
     (positions, step counts) ordered like ids.
 
-    ends(k, s) marks the lanes whose trajectory ends at step k with time s;
-    such a lane restarts on the next id, or is dropped once none are left.
-    on_step(pos, k, x, s) sees every lane after every step; pos indexes ids.
+    A pass advances every lane by `width` steps: ends(k, s) sees the
+    (width, lanes) step counts and times of the pass and marks the steps at
+    which a trajectory ends. A lane stops at its first mark and restarts on
+    the next id, or is dropped once none are left. on_step(pos, k, x, s)
+    sees every lane after every step; pos indexes ids.
     """
     if not 0.0 < float(tau) < math.inf:
         raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
     n = len(ids)
     h_x = tau ** (1.0 / model.beta)
     x_start = float(x0) if model.dim == 1 else np.asarray(x0, dtype=float)
+    # Jumps that ignore position make a lane's path independent of its
+    # clock, and an order that ignores time makes the clock a function of
+    # the path: a pass may then take many steps.
+    blocked = (on_step is None and kern.position_free
+               and model.order_field.time_independent)
     pos = np.arange(min(n, _LANES))
     lane_ids = ids[pos]
     keys = lane_keys(seed, lane_ids)
@@ -83,25 +94,50 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
     out_x = np.empty((n,) + np.shape(x_start))
     out_k = np.empty(n, dtype=np.int64)
     next_pos = len(pos)
-    passes = 0
+    # Each pass writes its (width, lanes) step counts into steps_buf, and its
+    # positions and times, after the state before the pass as row 0, into
+    # path_buf and clock_buf.
+    most = _LANES if blocked else len(pos)
+    steps_buf = np.empty(most, dtype=np.uint64)
+    path_buf = np.empty((most + len(pos),) + np.shape(x_start))
+    clock_buf = np.empty(most + len(pos))
+    top = 0  # no lane's step count exceeds top
     while len(pos):
-        passes += 1
-        k += 1
-        # No lane's k exceeds the pass count: check lanes only past the cap.
-        if passes > step_cap and k.max() > step_cap:
-            raise StepBudgetExceeded(f"exceeded {step_cap} steps before reaching the horizon")
-        u_jump, u_wait = keyed_uniforms(keys, k)
-        gam = model.alpha * model.order_field(s, x)
-        r = law.sample(gam, u_wait)
-        s += np.power(tau, 1.0 / gam) * r
-        x += h_x * np.asarray(kern.sample(x, u_jump))
+        lanes_now = len(pos)
+        width = _LANES // lanes_now if blocked and next_pos == n else 1
+        if top + width > step_cap:
+            top = int(k.max())
+            if top >= step_cap:
+                raise StepBudgetExceeded(f"exceeded {step_cap} steps before reaching the horizon")
+            width = min(width, step_cap - top)
+        top += width
+        # Row j of steps, and row j + 1 of path and clock, is step j + 1 of
+        # the pass.
+        steps = steps_buf[: width * lanes_now].reshape(width, lanes_now)
+        np.add(k, np.arange(1, width + 1, dtype=np.uint64)[:, None], out=steps)
+        u_jump, u_wait = keyed_uniforms(keys[None], steps)
+        path = path_buf[: (width + 1) * lanes_now].reshape((width + 1,) + x.shape)
+        path[0] = x
+        np.multiply(h_x, kern.sample(x[None], u_jump), out=path[1:])
+        _running_sum(path)
+        gam = model.alpha * model.order_field(s, path[:-1])
+        clock = clock_buf[: (width + 1) * lanes_now].reshape(width + 1, lanes_now)
+        clock[0] = s
+        np.multiply(np.power(tau, 1.0 / gam), law.sample(gam, u_wait), out=clock[1:])
+        _running_sum(clock)
+        # Views of the last rows: the next pass copies them to row 0 before
+        # it writes any other row.
+        x, s = path[-1], clock[-1]
+        k += width
         if on_step is not None:
             on_step(pos, k, x, s)
-        lanes = ends(k, s).nonzero()[0]
+        done = ends(steps, clock[1:])
+        lanes = done.any(axis=0).nonzero()[0]
         if not len(lanes):
             continue
-        out_x[pos[lanes]] = x[lanes]
-        out_k[pos[lanes]] = k[lanes]
+        rows = done[:, lanes].argmax(axis=0)
+        out_x[pos[lanes]] = path[rows + 1, lanes]
+        out_k[pos[lanes]] = steps[rows, lanes]
         fresh = lanes[: n - next_pos]
         if len(fresh):
             pos[fresh] = np.arange(next_pos, next_pos + len(fresh))
@@ -116,6 +152,17 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
             keep[lanes[len(fresh):]] = False
             pos, lane_ids, keys, x, s, k = (a[keep] for a in (pos, lane_ids, keys, x, s, k))
     return out_x, out_k
+
+
+def _running_sum(a):
+    """a[j] += a[j - 1] for j = 1, 2, ... in place: the additions of a step
+    loop, in its order. Row by row unless rows outnumber columns, since
+    accumulate pays per column."""
+    if len(a) <= a.shape[1]:
+        for j in range(1, len(a)):
+            a[j] += a[j - 1]
+    else:
+        np.add.accumulate(a, axis=0, out=a)
 
 
 def _run_chunk_to_horizon(model, kern, law, x0, s0, t, tau, seed, ids, step_cap):

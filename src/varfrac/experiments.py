@@ -16,7 +16,7 @@ import numpy as np
 from . import ctrw, oracles, solver, subordination, svgplot, waiting
 from .errors import ConfigError, VarfracError
 from .kernels import kernel_family
-from .model import _check_int, _check_number, make_model
+from .model import Diffusion, _check_int, _check_number, make_model
 
 CSV_COLUMNS = [
     "experiment", "quantity", "alpha", "gamma", "beta", "tau", "h", "x0", "n",
@@ -156,9 +156,12 @@ def validate_config(config) -> dict:
     _check_numerics(name, merged["numerics"])
     if "model" in merged:
         try:
-            make_model(merged["model"])
+            model = make_model(merged["model"])
         except (VarfracError, ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"invalid model: {exc}") from exc
+        for need, holds in _MODEL_NEEDS.get(name, ()):
+            if not holds(model):
+                raise ConfigError(f"{name} needs {need}")
     return merged
 
 
@@ -527,6 +530,17 @@ RUNNERS = {
     "variable-order": run_variable_order,
     "subordination-identity": run_subordination_identity,
     "solver-convergence": run_solver_convergence,
+}
+
+# What a runner assumes of its model beyond make_model's checks;
+# validate_config rejects a model without it.
+_CONSTANT_ORDER = ("a constant order (a_lo == a_hi)", lambda m: m.a_lo == m.a_hi)
+_CONSTANT_G = ("a diffusion with constant g (g_lo == g_hi)",
+               lambda m: isinstance(m.spatial, Diffusion) and m.spatial.g_lo == m.spatial.g_hi)
+_MODEL_NEEDS = {
+    "triangulation": (_CONSTANT_ORDER, _CONSTANT_G),
+    "subordination-identity": (_CONSTANT_ORDER, _CONSTANT_G),
+    "solver-convergence": (_CONSTANT_ORDER, _CONSTANT_G),
 }
 
 

@@ -37,7 +37,8 @@ def _diffusion_atoms(model: Model, x):
     if len(bad):
         i = bad[0]
         raise KernelInfeasible(
-            f"off-diagonal {g12[i]} exceeds a diagonal entry of diag({g11[i]}, {g22[i]})"
+            f"off-diagonal {g12.flat[i]} exceeds a diagonal entry of "
+            f"diag({g11.flat[i]}, {g22.flat[i]})"
         )
     z = np.zeros_like(g11)
     if not np.any(g12 != 0.0):
@@ -74,8 +75,14 @@ class DiffusionKernelFamily:
         g = model.spatial.g
         self._a = np.sqrt(float(g(0.0, 0.0))) if model.dim == 1 and g.kind == "constant" else None
 
+    @property
+    def position_free(self) -> bool:
+        """True when the jump law is the same at every position."""
+        return self._a is not None
+
     def sample(self, x, u):
-        """One jump per row of x, driven by one uniform per row."""
+        """One jump per uniform in u, from positions x that broadcast against
+        u (in 2-D with a trailing axis of 2)."""
         u = np.asarray(u, dtype=float)
         if self._a is not None:
             return np.where(u < 0.5, -self._a, self._a)
@@ -84,7 +91,7 @@ class DiffusionKernelFamily:
             return np.where(u < 0.5, -a, a)
         atoms, weights = _diffusion_atoms(self.model, x)
         idx = np.minimum((u * len(weights)).astype(np.int64), len(weights) - 1)
-        return np.take_along_axis(atoms, idx[:, None, None], axis=1)[:, 0]
+        return np.take_along_axis(atoms, idx[..., None, None], axis=-2)[..., 0, :]
 
 
 class StableKernelFamily:
@@ -97,6 +104,11 @@ class StableKernelFamily:
         self.beta = model.spatial.beta
         m = model.spatial.m
         self._two_m = 2.0 * float(m(0.0, 0.0)) if m.kind == "constant" else None
+
+    @property
+    def position_free(self) -> bool:
+        """True when the jump law is the same at every position."""
+        return self._two_m is not None
 
     def sample(self, x, u):
         beta = self.beta

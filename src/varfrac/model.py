@@ -49,7 +49,7 @@ class ScalarField:
     kinds:
       constant: value
       affine:   c0 + ct*t + sum(cx*x)
-      trig:     base + amp * sin(sum(freq_x*x)) * cos(freq_t*t)
+      trig:     base + amp * sin(sum(freq_x*x)) * cos(freq_t*t), x's shape if freq_t = 0
       bump:     base + amp * exp(-|x - center|^2 / (2 width^2))
     """
 
@@ -66,8 +66,10 @@ class ScalarField:
         if self.kind == "affine":
             return c["c0"] + c["ct"] * t + self._dot(x, c["cx"])
         if self.kind == "trig":
-            phase = self._dot(x, c["freq_x"])
-            return c["base"] + c["amp"] * np.sin(phase) * np.cos(c["freq_t"] * t)
+            wave = c["amp"] * np.sin(self._dot(x, c["freq_x"]))
+            if c["freq_t"] != 0.0:  # else the factor is cos(0) = 1 and x's shape holds
+                wave = wave * np.cos(c["freq_t"] * t)
+            return c["base"] + wave
         if self.kind == "bump":
             if self.dim == 1:
                 d2 = (x - c["center"][0]) ** 2

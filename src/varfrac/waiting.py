@@ -45,14 +45,11 @@ class WaitingLaw:
         """Inverse-CDF draw; vectorized over gamma and u, monotone in u."""
         gamma = np.asarray(gamma, dtype=float)
         u = np.asarray(u, dtype=float)
-        head_mass = 1.0 - self.tail_mass(gamma)
-        tail = u >= head_mass
-        # Head branch: uniform on [0, B).
-        height = np.where(head_mass > 0.0, head_mass / self.B, 1.0)
-        r_head = u / height
+        head_mass = 1.0 - self.B ** -gamma / gamma  # 1 - tail_mass(gamma)
         # Tail branch: survival of the whole law at r >= B is r^(-gamma)/gamma.
-        r_tail = np.power(gamma * (1.0 - u), -1.0 / gamma)
-        return np.where(tail, r_tail, r_head)
+        r = np.asarray(np.power(gamma * (1.0 - u), -1.0 / gamma))
+        # Head branch, where u < head_mass (so head_mass > 0): uniform on [0, B).
+        return np.divide(u, head_mass / self.B, out=r, where=u < head_mass)
 
     def survival(self, gamma, t):
         gamma = np.asarray(gamma, dtype=float)

@@ -59,3 +59,14 @@ class TrajectoryStream:
         u_jump = uniforms(self.seed, self.traj, self.step, 0)[0]
         u_wait = uniforms(self.seed, self.traj, self.step, 1)[0]
         return u_jump, u_wait
+
+
+def replay_to_horizon(traj_index, x0, t, tau, seed, model: Model, kernel_family, law):
+    """Final state of trajectory traj_index, stepped one transition at a time
+    from (x0, 0) until its accumulated time reaches t."""
+    state = ChainState(x=np.atleast_1d(np.asarray(x0, dtype=float)), s=0.0)
+    stream = TrajectoryStream(seed, traj_index)
+    while state.s < t:
+        u_jump, u_wait = stream.next_pair()
+        state = step_chain(state, tau, model, kernel_family, law, u_jump, u_wait)
+    return state

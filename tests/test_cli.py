@@ -229,6 +229,25 @@ def test_bad_model_value_exit_2(tmp_path, capsys, key, change):
     assert not (tmp_path / "o").exists()
 
 
+# A well-formed model that the runner cannot use: the subordination
+# recursion needs a constant order, and the constant-order closed forms a
+# constant order and g. Each stops before any output exists.
+@pytest.mark.parametrize("experiment, model, need", [
+    ("subordination-identity", {**PRESETS["subordination-identity"]["model"], "a_lo": 0.5},
+     "constant order"),
+    ("triangulation", PRESETS["variable-order"]["model"], "constant order"),
+    ("triangulation", {**PRESETS["triangulation"]["model"], "spatial": _STABLE}, "constant g"),
+    ("solver-convergence", PRESETS["variable-order"]["model"], "constant order"),
+])
+def test_model_the_runner_cannot_use_exit_2(tmp_path, capsys, experiment, model, need):
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": experiment,
+                                        "seed": 0, "model": model})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{experiment} needs" in err and need in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("numerics, message", [
     ({"resolutions": [[64, 8]]}, "resolutions[0] n_s"),
     ({"resolutions": [["a", 32]]}, "resolutions[0] n_x"),

@@ -9,8 +9,8 @@ from varfrac.errors import NonFiniteFunctional, StepBudgetExceeded
 from varfrac.kernels import kernel_family
 from varfrac.model import make_model
 
-from conftest import CONSTANT_ORDER, STABLE_HALF
-from scalar_chain import ChainState, TrajectoryStream, step_chain
+from conftest import CONSTANT_ORDER, STABLE_HALF, VARIABLE_ORDER
+from scalar_chain import ChainState, TrajectoryStream, replay_to_horizon, step_chain
 
 
 STABLE_TRIG = dict(STABLE_HALF, spatial={
@@ -302,12 +302,7 @@ def test_step_chain_replay_matches_ensemble(varorder_setup):
     kw = varorder_setup
     xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 1e-2, 20_000, 8, **kw)
     for i in (0, 16_383, 16_384, 19_999):
-        state = ChainState(x=np.array([0.0]), s=0.0)
-        st = TrajectoryStream(seed=8, traj_index=i)
-        while state.s < 1.0:
-            uj, uw = st.next_pair()
-            state = step_chain(state, 1e-2, kw["model"], kw["kernel_family"], kw["law"],
-                                    uj, uw)
+        state = replay_to_horizon(i, 0.0, 1.0, 1e-2, 8, **kw)
         assert state.x[0] == xs[i]
         assert state.k * 1e-2 == Ts[i]
 
@@ -319,14 +314,72 @@ def test_narrow_call_replay_matches_last_lanes(varorder_setup):
     xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 1e-2, 1_000, 8, **kw)
     assert 1_000 < ctrw._LANES
     for i in np.argsort(Ts, kind="stable")[-3:]:
-        state = ChainState(x=np.array([0.0]), s=0.0)
-        st = TrajectoryStream(seed=8, traj_index=int(i))
-        while state.s < 1.0:
-            uj, uw = st.next_pair()
-            state = step_chain(state, 1e-2, kw["model"], kw["kernel_family"], kw["law"],
-                               uj, uw)
+        state = replay_to_horizon(int(i), 0.0, 1.0, 1e-2, 8, **kw)
         assert state.x[0] == xs[i]
         assert state.k * 1e-2 == Ts[i]
+
+
+# The drain of a narrow call at fine tau, as in the variable-order preset's
+# ladder: 300 ids never refill, so every pass runs many steps per lane.
+# Recorded before a pass could take more than one step.
+_DRAIN_SHA256 = "f05ead215028b8b293782c5770759325420682fbd8f47f82adc0807e53d83412"
+
+
+def _counting_passes(monkeypatch):
+    """A list that grows by one per chain pass (one stream draw each)."""
+    passes = []
+    draw = ctrw.keyed_uniforms
+
+    def counted(keys, steps, *args):
+        passes.append(np.shape(steps)[0])
+        return draw(keys, steps, *args)
+
+    monkeypatch.setattr(ctrw, "keyed_uniforms", counted)
+    return passes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_drain_golden_digest(varorder_setup, threads):
+    xs, Ts = ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-4, 300, 8, threads=threads,
+                                 **varorder_setup)
+    assert hashlib.sha256(xs.tobytes() + Ts.tobytes()).hexdigest() == _DRAIN_SHA256
+
+
+def test_drain_replay_matches_longest(varorder_setup, monkeypatch):
+    passes = _counting_passes(monkeypatch)
+    xs, Ts = ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-4, 300, 8, **varorder_setup)
+    steps = np.round(Ts / 1e-4).astype(np.int64)
+    assert len(passes) < steps.max() // 10  # most passes take many steps
+    for i in np.argsort(steps, kind="stable")[-3:]:
+        state = replay_to_horizon(int(i), 2.0, 1.0, 1e-4, 8, **varorder_setup)
+        assert state.x[0] == xs[i]
+        assert state.k == steps[i]
+
+
+_TIME_DEPENDENT_ORDER = dict(VARIABLE_ORDER, order_field=dict(VARIABLE_ORDER["order_field"],
+                                                              freq_t=2.0))
+_AFFINE_G = dict(VARIABLE_ORDER, spatial={
+    "kind": "diffusion", "g": {"kind": "affine", "c0": 1.0, "cx": 0.25},
+    "g_lo": 0.2, "g_hi": 1.8,
+})
+
+
+@pytest.mark.parametrize("cfg", [_TIME_DEPENDENT_ORDER, _AFFINE_G],
+                         ids=["time-dependent-order", "affine-g"])
+def test_one_step_pass_replay_matches_longest(cfg, monkeypatch):
+    # A step reads the time or the position the step before wrote, so each
+    # pass takes one step.
+    model = make_model(cfg)
+    kw = dict(model=model, kernel_family=kernel_family(model),
+              law=waiting.build_waiting_law(model.gamma_lo, model.gamma_hi))
+    passes = _counting_passes(monkeypatch)
+    xs, Ts = ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-3, 300, 8, **kw)
+    steps = np.round(Ts / 1e-3).astype(np.int64)
+    assert set(passes) == {1} and len(passes) == steps.max()
+    for i in np.argsort(steps, kind="stable")[-3:]:
+        state = replay_to_horizon(int(i), 2.0, 1.0, 1e-3, 8, **kw)
+        assert state.x[0] == xs[i]
+        assert state.k == steps[i]
 
 
 # Digests of chain paths the variable-order digests above do not reach,
@@ -393,6 +446,17 @@ def test_step_budget_enforced_per_lane(const_setup):
     ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 300, 4, step_cap=most, **kw)
     with pytest.raises(StepBudgetExceeded):
         ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 300, 4, step_cap=most - 1, **kw)
+
+
+def test_step_budget_enforced_inside_a_block(varorder_setup):
+    # 300 ids drain to one lane, so the longest trajectory ends inside a pass
+    # of thousands of steps; the cap must still count single steps.
+    kw = varorder_setup
+    _, Ts = ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-3, 300, 8, **kw)
+    most = int(np.max(np.round(Ts / 1e-3)))
+    ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-3, 300, 8, step_cap=most, **kw)
+    with pytest.raises(StepBudgetExceeded):
+        ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-3, 300, 8, step_cap=most - 1, **kw)
 
 
 def test_estimator_rejects_non_finite_functional(const_setup):
