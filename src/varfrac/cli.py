@@ -170,7 +170,7 @@ def cmd_compare(args):
             sub = [r for r in rows if r["experiment"] == experiment]
             try:
                 checks = evaluate_checks(experiment, sub)
-            except (KeyError, ConfigError) as exc:
+            except (KeyError, TypeError, ConfigError) as exc:  # TypeError: an empty cell
                 print(f"schema mismatch in {path}: {exc}", file=sys.stderr)
                 return 2
             for c in checks:

@@ -236,6 +236,12 @@ def _row(experiment, quantity, value, uncertainty=None, **params):
     return row
 
 
+def _margin(field):
+    """How far the solved cos field stays inside [-1, 1], the range of its
+    data; negative when the maximum principle fails."""
+    return min(float(field.values.min() + 1.0), float(1.0 - field.values.max()))
+
+
 @dataclass
 class ExperimentOutput:
     rows: list
@@ -297,12 +303,12 @@ def run_triangulation(config, threads=1) -> ExperimentOutput:
     seed = int(config["seed"])
     model = make_model(config["model"])
     t = float(num["t"])
-    gamma = model.alpha * model.a_lo
+    gamma, g = model.gamma_lo, model.spatial.g_lo
     rows = []
 
     grid = solver.Grid(n_x=int(num["n_x"]), n_s=int(num["n_s"]), t=t)
     field = solver.solve_terminal_problem(model, np.cos, t, grid)
-    amp = oracles.constant_order_solution(gamma, 1.0, t, 1.0)
+    amp = oracles.constant_order_solution(gamma, 1.0, t, g)
     exact = amp * np.cos(grid.x)
     sup_err = float(np.max(np.abs(field.values[0] - exact)))
     rows.append(_row("triangulation", "solver_sup_error", sup_err, gamma=gamma))
@@ -311,8 +317,7 @@ def run_triangulation(config, threads=1) -> ExperimentOutput:
                      gamma=gamma, x0=grid.x[i0]))
     rows.append(_row("triangulation", "oracle_value", amp * math.cos(grid.x[i0]),
                      gamma=gamma, x0=grid.x[i0]))
-    margin = min(float(field.values.min() + 1.0), float(1.0 - field.values.max()))
-    rows.append(_row("triangulation", "max_principle_margin", margin, gamma=gamma))
+    rows.append(_row("triangulation", "max_principle_margin", _margin(field), gamma=gamma))
 
     ones = solver.solve_terminal_problem(model, lambda x: np.ones_like(x), t, grid)
     rows.append(_row("triangulation", "solver_conservation_error",
@@ -334,7 +339,7 @@ def run_triangulation(config, threads=1) -> ExperimentOutput:
     rows.append(_row("triangulation", "mc_ones", est1.mean, est1.std_error,
                      gamma=gamma, tau=num["mc_tau"]))
 
-    G = oracles.ConstantOrderDensity(gamma=gamma, g0=1.0, x0=float(num["x0"]), s0=0.0)
+    G = subordination.frozen_density(model, float(num["x0"]), 0.0)
     sub_cos = subordination.subordinated_expectation(model, G, np.cos, float(num["x0"]), 0.0, t)
     rows.append(_row("triangulation", "subordination_value", sub_cos.value,
                      gamma=gamma, x0=num["x0"]))
@@ -364,8 +369,7 @@ def run_variable_order(config, threads=1) -> ExperimentOutput:
     grid_c = solver.Grid(n_x=n_x // 2, n_s=n_s // 2, t=t)
     field_f = solver.solve_terminal_problem(model, np.cos, t, grid_f)
     field_c = solver.solve_terminal_problem(model, np.cos, t, grid_c)
-    margin = min(float(field_f.values.min() + 1.0), float(1.0 - field_f.values.max()))
-    rows.append(_row("variable-order", "max_principle_margin", margin))
+    rows.append(_row("variable-order", "max_principle_margin", _margin(field_f)))
 
     law = waiting.build_waiting_law(model.gamma_lo, model.gamma_hi)
     fam = kernel_family(model)
@@ -401,7 +405,7 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
     seed = int(config["seed"])
     model = make_model(config["model"])
     t = float(num["t"])
-    gamma = model.alpha * model.a_lo
+    gamma, g = model.gamma_lo, model.spatial.g_lo
     rows = []
 
     # exhaustive recursion vs Monte Carlo at the same resolution
@@ -446,7 +450,7 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
 
     # empirical pair histogram: normalization identity and position density
     tau_d = float(num["density_tau"])
-    h_lat = math.sqrt(tau_d)  # positions live on this lattice (g = 1)
+    h_lat = math.sqrt(tau_d * g)  # positions live on this lattice
     m = 32
     y_edges = h_lat * (8.0 * np.arange(-m, m + 1) + 4.5)
     v_edges = np.concatenate([np.linspace(0.0, t, 51), [1.5 * t, np.inf]])
@@ -462,13 +466,13 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
     r_cos = subordination.subordinated_expectation(model, G, np.cos, 0.0, 0.0, t)
     rows.append(_row("subordination-identity", "empirical_cos", r_cos.value, r_cos.band,
                      gamma=gamma, tau=tau_d, n=G.n_traj))
-    amp = oracles.constant_order_solution(gamma, 1.0, t, 1.0)
+    amp = oracles.constant_order_solution(gamma, 1.0, t, g)
     rows.append(_row("subordination-identity", "oracle_value", amp, gamma=gamma))
 
     y_c, dens, _ = subordination.subordinated_density(model, G, 0.0, 0.0, t)
     fine_per = 16
     fine = np.linspace(y_edges[0], y_edges[-1], (len(y_edges) - 1) * fine_per + 1)
-    qf = oracles.time_changed_gaussian_density(gamma, 1.0, 0.0, t, fine)
+    qf = oracles.time_changed_gaussian_density(gamma, g, 0.0, t, fine)
     avg = np.array([
         np.trapezoid(qf[j * fine_per : j * fine_per + fine_per + 1],
                      fine[j * fine_per : j * fine_per + fine_per + 1])
@@ -491,8 +495,8 @@ def run_solver_convergence(config, threads=1) -> ExperimentOutput:
     num = config["numerics"]
     model = make_model(config["model"])
     t = float(num["t"])
-    gamma = model.alpha * model.a_lo
-    amp = oracles.constant_order_solution(gamma, 1.0, t, 1.0)
+    gamma, g = model.gamma_lo, model.spatial.g_lo
+    amp = oracles.constant_order_solution(gamma, 1.0, t, g)
     rows = []
     errs = []
     for n_x, n_s in num["resolutions"]:
@@ -501,8 +505,7 @@ def run_solver_convergence(config, threads=1) -> ExperimentOutput:
         err = float(np.max(np.abs(field.values[0] - amp * np.cos(grid.x))))
         errs.append((int(n_x), err))
         rows.append(_row("solver-convergence", "eigen_sup_error", err, gamma=gamma, n=n_x))
-        margin = min(float(field.values.min() + 1.0), float(1.0 - field.values.max()))
-        rows.append(_row("solver-convergence", "max_principle_margin", margin, n=n_x))
+        rows.append(_row("solver-convergence", "max_principle_margin", _margin(field), n=n_x))
     for i in range(1, len(errs)):
         rows.append(_row("solver-convergence", "refinement_ratio",
                          errs[i][1] / max(errs[i - 1][1], 1e-300), n=errs[i][0]))
@@ -535,9 +538,11 @@ RUNNERS = {
 # What a runner assumes of its model beyond make_model's checks;
 # validate_config rejects a model without it.
 _CONSTANT_ORDER = ("a constant order (a_lo == a_hi)", lambda m: m.a_lo == m.a_hi)
-_CONSTANT_G = ("a diffusion with constant g (g_lo == g_hi)",
-               lambda m: isinstance(m.spatial, Diffusion) and m.spatial.g_lo == m.spatial.g_hi)
+_CONSTANT_G = ("a 1-D diffusion with constant g (dim 1, g_lo == g_hi)",
+               lambda m: m.dim == 1 and isinstance(m.spatial, Diffusion)
+               and m.spatial.g_lo == m.spatial.g_hi)
 _MODEL_NEEDS = {
+    "variable-order": (("a 1-D model (dim 1)", lambda m: m.dim == 1),),
     "triangulation": (_CONSTANT_ORDER, _CONSTANT_G),
     "subordination-identity": (_CONSTANT_ORDER, _CONSTANT_G),
     "solver-convergence": (_CONSTANT_ORDER, _CONSTANT_G),
@@ -575,6 +580,8 @@ def _one(rows, quantity, **params):
 
 
 def evaluate_checks(experiment, rows) -> list[Check]:
+    """Every pass/fail decision, from rows alone. A missing row raises
+    KeyError, and an empty cell that a check reads raises TypeError."""
     checks = []
 
     def add(name, passed, detail):
@@ -628,6 +635,8 @@ def evaluate_checks(experiment, rows) -> list[Check]:
             sol = float(_one(rows, "solver_value", x0=x0)["value"])
             selfconv = float(_one(rows, "solver_selfconv", x0=x0)["value"])
             mcs = sorted(_select(rows, "mc_value", x0=x0), key=lambda r: -float(r["tau"]))
+            if not mcs:
+                raise KeyError(f"no mc_value row for x0={x0}")
             gaps = [abs(float(r["value"]) - sol) for r in mcs]
             if len(gaps) > 1:
                 add(f"gap shrinks along the ladder (x0={x0:.3f})",

@@ -156,7 +156,7 @@ def _time_change(model, G, F, x0, s0, t, y_edges, v_edges, u_max, n_u):
             var.append(np.maximum(second - first * first, 0.0) / G.n_traj / dy**2)
         nodes = np.concatenate([[0.0], G.u_values])
         rows, sig = np.array(rows), np.sqrt(var)
-        bridge = _local_frozen_density(model, x0, s0)
+        bridge = frozen_density(model, x0, s0)
         if bridge is not None:
             # The frozen-coefficient head replaces the u = 0 row. Each output
             # keeps its own head axes: the density the histogram's y bins.
@@ -188,10 +188,10 @@ def _time_change(model, G, F, x0, s0, t, y_edges, v_edges, u_max, n_u):
     return value, np.zeros_like(value)
 
 
-def _local_frozen_density(model, x0, s0):
+def frozen_density(model, x0, s0):
     """Short-time pair density with coefficients frozen at the start state;
-    exact for constant coefficients, first-order accurate otherwise. Only
-    available for 1-D second-order spatial parts."""
+    exact for constant coefficients, first-order accurate otherwise. None
+    unless the spatial part is a 1-D diffusion."""
     if not isinstance(model.spatial, Diffusion) or model.dim != 1:
         return None
     x0f = float(np.atleast_1d(x0)[0])

@@ -113,6 +113,7 @@ def test_results_golden_digest(tmp_path, experiment):
 _BAD_VALUES = [None, True, "x", [], [0.5], {}, -1, 0, 0.5, 2.5, math.nan, math.inf]
 
 
+# A run that exits 2 must stop before any output exists.
 @settings(max_examples=200, deadline=None)
 @given(experiment=st.sampled_from(sorted(_REDUCED_NUMERICS)), data=st.data())
 def test_mutated_config_exits_0_2_or_3(experiment, data):
@@ -122,24 +123,29 @@ def test_mutated_config_exits_0_2_or_3(experiment, data):
     keys += [f"numerics.{k}" for k in sorted(PRESETS[experiment]["numerics"])]
     model = PRESETS[experiment].get("model")
     if model is not None:
+        # Swap in a whole model, then perhaps change one of its entries.
+        model = data.draw(st.sampled_from([model, *_WHOLE_MODELS]))
+        config["model"] = json.loads(json.dumps(model))
         keys += [f"model.{k}" for k in sorted(model)]
         keys += [f"model.spatial.{k}" for k in sorted(model["spatial"])]
+        keys.append(None)
     key = data.draw(st.sampled_from(keys))
-    value = data.draw(st.sampled_from(_BAD_VALUES))
-    assume(not (key == "numerics" and value == {}))  # {} is the full-size preset
-    *parents, leaf = key.split(".")
-    if parents[:1] == ["model"]:
-        config["model"] = json.loads(json.dumps(model))
-    target = config
-    for part in parents:
-        target = target[part]
-    target[leaf] = value
+    if key is not None:
+        value = data.draw(st.sampled_from(_BAD_VALUES))
+        assume(not (key == "numerics" and value == {}))  # {} is the full-size preset
+        *parents, leaf = key.split(".")
+        target = config
+        for part in parents:
+            target = target[part]
+        target[leaf] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        code = main(["run", path, "--threads", "1", "--out", os.path.join(tmp, "out")])
-    assert code in (0, 2, 3)
+        out = os.path.join(tmp, "out")
+        code = main(["run", path, "--threads", "1", "--out", out])
+        assert code in (0, 2, 3)
+        assert code != 2 or not os.path.exists(out)
 
 
 def test_dump_flags_skipped_without_chain_or_solve(tmp_path, capsys):
@@ -202,6 +208,15 @@ def test_bad_model_exit_2(tmp_path, capsys, change):
 _DIFFUSION = PRESETS["triangulation"]["model"]["spatial"]
 _STABLE = {"kind": "stable1d", "beta": 0.5, "m": {"kind": "constant", "value": 0.25},
            "m_lo": 0.25, "m_hi": 0.25}
+_G2_MODEL = {**PRESETS["triangulation"]["model"],
+             "spatial": {**_DIFFUSION, "g": {"kind": "constant", "value": 2.0},
+                         "g_lo": 2.0, "g_hi": 2.0}}
+_DIM2_MODEL = {**PRESETS["triangulation"]["model"], "dim": 2,
+               "spatial": {"kind": "diffusion", "g_matrix": [[1.0, 0.0], [0.0, 1.0]],
+                           "g_lo": 1.0, "g_hi": 1.0}}
+_WHOLE_MODELS = [PRESETS["triangulation"]["model"], PRESETS["variable-order"]["model"],
+                 {**PRESETS["triangulation"]["model"], "spatial": _STABLE}, _G2_MODEL,
+                 _DIM2_MODEL]
 
 
 # A wrong type, a non-finite value or a missing bound in any model entry,
@@ -230,14 +245,19 @@ def test_bad_model_value_exit_2(tmp_path, capsys, key, change):
 
 
 # A well-formed model that the runner cannot use: the subordination
-# recursion needs a constant order, and the constant-order closed forms a
-# constant order and g. Each stops before any output exists.
+# recursion needs a constant order, the constant-order closed forms a
+# constant order and a constant g, and the grid solver one dimension. Each
+# stops before any output exists.
 @pytest.mark.parametrize("experiment, model, need", [
     ("subordination-identity", {**PRESETS["subordination-identity"]["model"], "a_lo": 0.5},
      "constant order"),
     ("triangulation", PRESETS["variable-order"]["model"], "constant order"),
     ("triangulation", {**PRESETS["triangulation"]["model"], "spatial": _STABLE}, "constant g"),
     ("solver-convergence", PRESETS["variable-order"]["model"], "constant order"),
+    ("triangulation", _DIM2_MODEL, "1-D"),
+    ("variable-order", _DIM2_MODEL, "1-D"),
+    ("subordination-identity", _DIM2_MODEL, "1-D"),
+    ("solver-convergence", _DIM2_MODEL, "1-D"),
 ])
 def test_model_the_runner_cannot_use_exit_2(tmp_path, capsys, experiment, model, need):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": experiment,
@@ -246,6 +266,23 @@ def test_model_the_runner_cannot_use_exit_2(tmp_path, capsys, experiment, model,
     err = capsys.readouterr().err
     assert f"{experiment} needs" in err and need in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# The constant-order experiments read g from the model: with g = 2 the
+# closed forms, the histogram lattice and the analytic pair law all follow.
+@pytest.mark.parametrize("experiment, numerics", [
+    ("triangulation", {"n_x": 64, "n_s": 64, "mc_tau": 1e-3, "mc_n_traj": 20_000}),
+    ("solver-convergence", {}),
+    ("subordination-identity", {"lattice_n_traj": 20_000, "ks_n_traj": 20_000,
+                                "density_n_traj": 33_333}),
+])
+def test_constant_g_2_passes_every_check(tmp_path, capsys, experiment, numerics):
+    cfg = _write(tmp_path, "g2.json", {"schema_version": 1, "experiment": experiment,
+                                       "seed": 0, "model": _G2_MODEL, "numerics": numerics})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--threads", "2", "--out", str(out)]) == 0
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert checks and all(checks.values()), capsys.readouterr().out
 
 
 @pytest.mark.parametrize("numerics, message", [
@@ -400,12 +437,20 @@ def test_compare_mismatched_experiments_exit_2(tmp_path):
                  str(tmp_path / "o2" / "results.csv")]) == 2
 
 
+_HEADER = ",".join(CSV_COLUMNS).encode() + b"\r\n"
+
+
 @pytest.mark.parametrize("content", [
     b"",
     b"\xff\xfe\x00garbage",
-    ",".join(CSV_COLUMNS).encode() + b"\r\nsolver-convergence,linearity_error,abc,,,,,,,1.0,\r\n",
-    ",".join(CSV_COLUMNS).encode() + b"\r\nsolver-convergence,linearity_error\r\n",
-], ids=["empty", "not-utf8", "not-a-number", "short-row"])
+    _HEADER + b"solver-convergence,linearity_error,abc,,,,,,,1.0,\r\n",
+    _HEADER + b"solver-convergence,linearity_error\r\n",
+    _HEADER + b"variable-order,solver_value,,,,,,0.0,,0.5,\r\n"
+              b"variable-order,solver_selfconv,,,,,,0.0,,0.001,\r\n",
+    _HEADER + b"triangulation,solver_sup_error,,0.5,,,,,,0.001,\r\n"
+              b"triangulation,mc_value,,0.5,,0.001,,0.0,2000.0,0.9,\r\n"
+              b"triangulation,oracle_value_x0,,0.5,,,,0.0,,0.9,\r\n",
+], ids=["empty", "not-utf8", "not-a-number", "short-row", "no-mc-row", "empty-uncertainty"])
 def test_compare_unreadable_results_exit_2(tmp_path, capsys, content):
     p = tmp_path / "results.csv"
     p.write_bytes(content)
