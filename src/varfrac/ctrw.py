@@ -13,9 +13,9 @@ vector of L lanes advances _LANES // L steps per pass when the jump law
 ignores position, the order ignores time and no callback sees every step:
 positions then follow from the jumps alone and times from the positions, so
 both are running sums over the pass, added in step order, and the bits are
-those of one step per pass. The reduction blocks are fixed: F is summed over the same `_CHUNK`-id blocks,
-combined in block order with exact compensated summation, so estimates are
-bit-identical for any thread count.
+those of one step per pass. The reduction blocks are fixed: F is summed over
+the same `_CHUNK`-id blocks, combined in block order with exact compensated
+summation, so estimates are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -102,6 +102,13 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
     path_buf = np.empty((most + len(pos),) + np.shape(x_start))
     clock_buf = np.empty(most + len(pos))
     top = 0  # no lane's step count exceeds top
+    # A constant order fixes gamma and the waiting scale tau^(1/gamma) for the
+    # call. The scale's exponent is a one-element array, so numpy takes the
+    # array loop of the per-lane form, not its scalar power.
+    per_lane = model.order_field.kind != "constant"
+    if not per_lane:
+        gam = model.alpha * float(model.order_field(0.0, 0.0))
+        scale = np.power(tau, 1.0 / np.full(1, gam))
     while len(pos):
         lanes_now = len(pos)
         width = _LANES // lanes_now if blocked and next_pos == n else 1
@@ -120,10 +127,12 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
         path[0] = x
         np.multiply(h_x, kern.sample(x[None], u_jump), out=path[1:])
         _running_sum(path)
-        gam = model.alpha * model.order_field(s, path[:-1])
+        if per_lane:
+            gam = model.alpha * model.order_field(s, path[:-1])
+            scale = np.power(tau, 1.0 / gam)
         clock = clock_buf[: (width + 1) * lanes_now].reshape(width + 1, lanes_now)
         clock[0] = s
-        np.multiply(np.power(tau, 1.0 / gam), law.sample(gam, u_wait), out=clock[1:])
+        np.multiply(scale, law.sample(gam, u_wait), out=clock[1:])
         _running_sum(clock)
         # Views of the last rows: the next pass copies them to row 0 before
         # it writes any other row.

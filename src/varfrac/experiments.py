@@ -147,6 +147,9 @@ def validate_config(config) -> dict:
     if not isinstance(config.get("output_dir", ""), str):
         raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
     preset = PRESETS[name]
+    unused = set(config) - set(preset) - {"output_dir"}
+    if unused:
+        raise ConfigError(f"{name} takes no {sorted(unused)}")
     merged = {k: config.get(k, preset.get(k)) for k in _TOP_KEYS if k in preset or k in config}
     known_numerics = set(preset["numerics"])
     unknown = set(merged.get("numerics", {})) - known_numerics

@@ -84,11 +84,12 @@ class DiffusionKernelFamily:
         """One jump per uniform in u, from positions x that broadcast against
         u (in 2-D with a trailing axis of 2)."""
         u = np.asarray(u, dtype=float)
-        if self._a is not None:
-            return np.where(u < 0.5, -self._a, self._a)
         if self.model.dim == 1:
-            a = np.sqrt(np.asarray(self.model.spatial.g(0.0, x), dtype=float))
-            return np.where(u < 0.5, -a, a)
+            a = self._a
+            if a is None:
+                a = np.sqrt(np.asarray(self.model.spatial.g(0.0, x), dtype=float))
+            # -a below 1/2 and +a from 1/2 up, exactly: u - 0.5 is +0.0 at 1/2.
+            return np.copysign(a, u - 0.5)
         atoms, weights = _diffusion_atoms(self.model, x)
         idx = np.minimum((u * len(weights)).astype(np.int64), len(weights) - 1)
         return np.take_along_axis(atoms, idx[..., None, None], axis=-2)[..., 0, :]
@@ -116,12 +117,12 @@ class StableKernelFamily:
         if two_m is None:
             two_m = 2.0 * np.asarray(self.model.spatial.m(0.0, x), dtype=float)
         # Minimal threshold: tail mass is exactly 1, so |z| is a pure power
-        # draw and the sign comes from which half of (0,1) u fell in.
-        sign = np.where(u < 0.5, -1.0, 1.0)
-        u_half = np.where(u < 0.5, 1.0 - 2.0 * u, 2.0 * u - 1.0)
+        # draw and the sign comes from which half of (0,1) u fell in. Both
+        # halves map onto (0,1) exactly: 2u is exact, so 2u - 1 = -(1 - 2u).
+        u_half = np.abs(2.0 * u - 1.0)
         # Survival of |z|: 2 m r^(-beta) / beta; invert at 1 - u_half.
         mag = (beta * (1.0 - u_half) / two_m) ** (-1.0 / beta)
-        return sign * mag
+        return np.copysign(mag, u - 0.5)
 
 
 def kernel_family(model: Model):

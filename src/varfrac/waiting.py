@@ -45,9 +45,14 @@ class WaitingLaw:
         """Inverse-CDF draw; vectorized over gamma and u, monotone in u."""
         gamma = np.asarray(gamma, dtype=float)
         u = np.asarray(u, dtype=float)
-        head_mass = 1.0 - self.B ** -gamma / gamma  # 1 - tail_mass(gamma)
+        # 1 - tail_mass(gamma), with a lone gamma passed to the power as a
+        # one-element array: numpy's scalar power can round the last bit
+        # differently from its array loop.
+        head_mass = 1.0 - np.power(self.B, -np.atleast_1d(gamma)).reshape(gamma.shape) / gamma
         # Tail branch: survival of the whole law at r >= B is r^(-gamma)/gamma.
         r = np.asarray(np.power(gamma * (1.0 - u), -1.0 / gamma))
+        if gamma.ndim == 0 and head_mass <= 0.0:
+            return r  # an empty head takes no u
         # Head branch, where u < head_mass (so head_mass > 0): uniform on [0, B).
         return np.divide(u, head_mass / self.B, out=r, where=u < head_mass)
 

@@ -180,6 +180,16 @@ def test_unknown_keys_exit_2(tmp_path):
     assert main(["run", str(cfg2), "--out", str(tmp_path / "o2")]) == 2
 
 
+def test_key_outside_the_preset_exit_2(tmp_path, capsys):
+    # rate-check has no model, so a model entry would be echoed unused
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "rate-check",
+                                        "seed": 0, "model": PRESETS["triangulation"]["model"]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "rate-check takes no ['model']" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("n_traj", [50, "many", 1000.0, True])
 def test_bad_trajectory_count_exit_2(tmp_path, capsys, n_traj):
     cfg = _write(tmp_path, "bad.json", {**SMALL_TRI, "numerics": {"mc_n_traj": n_traj}})

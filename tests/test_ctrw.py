@@ -490,3 +490,47 @@ def test_fixed_steps_reject_step_count_below_one(const_setup, steps):
     with pytest.raises(ValueError, match="at least 1"):
         ctrw.sample_chain_at_steps(0.0, 0.0, 0.01, steps, 200, 1,
                                    model=model, kernel_family=fam, law=law)
+
+
+# Digests of the constant-order pass, recorded before the pass fixed gamma
+# and the waiting scale once per call. "head-mass" runs gamma = 0.5 under a
+# law built for [0.3, 0.7], so the head branch of the waiting draw still
+# runs; its tau = 0.05 makes the scale tau^(1/gamma) a square.
+_CONSTANT_ORDER_CASES = {
+    "alpha-0.3": (dict(CONSTANT_ORDER, alpha=0.3), None, 1e-2),
+    "alpha-0.8": (dict(CONSTANT_ORDER, alpha=0.8), None, 1e-2),
+    "head-mass": (CONSTANT_ORDER, (0.3, 0.7), 0.05),
+}
+_CONSTANT_ORDER_SHA256 = {
+    ("alpha-0.3", "hitting"):
+        "72e83ed958069f6b65ac989f5a84f6e300dcd0d6be05f2af6896b96d88238ee8",
+    ("alpha-0.3", "snapshot"):
+        "d6995544c1b74857f95f54a37d2b6f6ab62d0db80d980c93f4b00fe912d82994",
+    ("alpha-0.8", "hitting"):
+        "75dd0d952e99344f4c690c35306f5bd51bb9bf6a70b3050a63f08a6fd6751e2e",
+    ("alpha-0.8", "snapshot"):
+        "63d56bb8090b40e20e3e93151660797f7761e4e86b05e2a266d31d89ed8f6c68",
+    ("head-mass", "hitting"):
+        "c2cb8812841a71cd361d1a0c1527fc7d0cb30487d1a069389fc39649e7475fbb",
+    ("head-mass", "snapshot"):
+        "43703a36c47d63991e3903d61e7dac1afcc2e6b823a2fcea32ed9a2806ec64ec",
+}
+
+
+def _constant_order_bytes(case, entry, threads):
+    cfg, law_range, tau = _CONSTANT_ORDER_CASES[case]
+    model = make_model(cfg)
+    law = waiting.build_waiting_law(*(law_range or (model.gamma_lo, model.gamma_hi)))
+    kw = dict(model=model, kernel_family=kernel_family(model), law=law, threads=threads)
+    if entry == "hitting":
+        xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, tau, 40_000, 8, **kw)
+        return xs.tobytes() + Ts.tobytes()
+    snaps = ctrw.sample_chain_at_steps(0.3, 0.0, tau, [60, 7, 25], 40_000, 8, **kw)
+    return b"".join(snaps[k][0].tobytes() + snaps[k][1].tobytes() for k in sorted(snaps))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case, entry", sorted(_CONSTANT_ORDER_SHA256))
+def test_constant_order_golden_digest(case, entry, threads):
+    digest = hashlib.sha256(_constant_order_bytes(case, entry, threads)).hexdigest()
+    assert digest == _CONSTANT_ORDER_SHA256[case, entry]

@@ -94,6 +94,28 @@ def test_stable_sampler_tail_and_sign_balance(stable_model):
         assert abs(p_emp - p_ana) <= 3.0 * se
 
 
+# Uniforms at and beside 1/2, where the sign of a jump flips.
+_HALF = np.array([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 2.0**-53, 0.25,
+                  0.75, 1.0 - 2.0**-53])
+
+
+def test_constant_g_jump_sign_at_one_half():
+    m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.7},
+                "g_lo": 1.7, "g_hi": 1.7})
+    a = np.sqrt(1.7)
+    jumps = kr.kernel_family(m).sample(np.zeros(len(_HALF)), _HALF)
+    assert jumps.tobytes() == np.where(_HALF < 0.5, -a, a).tobytes()
+
+
+def test_constant_m_jump_sign_at_one_half(stable_model):
+    beta, two_m = 0.5, 0.5
+    sign = np.where(_HALF < 0.5, -1.0, 1.0)
+    u_half = np.where(_HALF < 0.5, 1.0 - 2.0 * _HALF, 2.0 * _HALF - 1.0)
+    expected = sign * (beta * (1.0 - u_half) / two_m) ** (-1.0 / beta)
+    jumps = kr.kernel_family(stable_model).sample(np.zeros(len(_HALF)), _HALF)
+    assert jumps.tobytes() == expected.tobytes()
+
+
 def test_apply_generator_quadratic_exact():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.7},
                 "g_lo": 1.7, "g_hi": 1.7})

@@ -146,6 +146,41 @@ def test_discretized_law_shares_the_tail():
     assert p_emp == pytest.approx(p_ana, abs=1e-4)
 
 
+def test_discretized_law_takes_a_scalar_gamma():
+    law = waiting.build_waiting_law(0.5, 0.5)
+    dlaw = waiting.discretize_waiting_law(law, 0.5, 32, 200.0)
+    u = (np.arange(10_000) + 0.5) / 10_000
+    assert dlaw.sample(0.5, u).tobytes() == dlaw.sample(np.full(u.shape, 0.5), u).tobytes()
+    with pytest.raises(ValueError, match="constant exponent"):
+        dlaw.sample(0.4, u)
+
+
+def _draw_points(head_mass):
+    """Uniforms across (0, 1), plus the head mass and its two neighbours."""
+    u = (np.arange(20_000) + 0.5) / 20_000
+    edge = [np.nextafter(head_mass, 0.0), head_mass, np.nextafter(head_mass, 1.0)]
+    return np.concatenate([u, head_mass * u[::100], [e for e in edge if 0.0 < e < 1.0]])
+
+
+@pytest.mark.parametrize("law_range", [None, (0.3, 0.7)], ids=["own-law", "shared-law"])
+def test_scalar_gamma_draws_the_per_lane_bits(law_range):
+    # A constant order hands the law one gamma for the whole lane vector; its
+    # draws must be those of a per-lane array holding that gamma, with the
+    # head branch skipped (zero head mass) or taken. A law built at its own
+    # gamma has no head, except for a rounding-sized one at gamma = 0.9.
+    gammas = [0.3, 0.37, 0.5, 0.7, 0.9] if law_range is None else np.linspace(0.31, 0.7, 79)
+    heads = set()
+    for gamma in map(float, gammas):
+        law = waiting.build_waiting_law(*(law_range or (gamma, gamma)))
+        head_mass = float(1.0 - law.tail_mass(np.full(4, gamma))[0])
+        heads.add(head_mass > 0.0)
+        u = _draw_points(head_mass).reshape(1, -1)
+        per_lane = law.sample(np.full(u.shape, gamma), u)
+        assert law.sample(gamma, u).tobytes() == per_lane.tobytes()
+        assert law.sample(gamma, u[:, :1]).tobytes() == per_lane[:, :1].tobytes()
+    assert heads == ({False, True} if law_range is None else {True})
+
+
 def test_discretized_law_needs_pure_tail():
     law = waiting.WaitingLaw(B=9.0, gamma_lo=0.5, gamma_hi=0.5)  # has a head
     with pytest.raises(InvalidTailMass):
