@@ -20,18 +20,10 @@ from . import (
     waiting,
 )
 from .ctrw import DensityGrid, MCEstimate, empirical_transition_density, estimate_functional
-from .kernels import apply_approx_generator, generator_residual, kernel_family
+from .kernels import kernel_family
 from .model import Model, gamma_at, make_model
 from .oracles import constant_order_solution, mittag_leffler, subordinator_cdf
-from .solver import (
-    Field,
-    Grid,
-    TimeWeights,
-    apply_right_derivative,
-    build_spatial_operator,
-    build_time_weights,
-    solve_terminal_problem,
-)
+from .solver import Field, Grid, build_spatial_operator, solve_terminal_problem
 from .subordination import (
     discrete_subordinated_expectation,
     subordinated_density,

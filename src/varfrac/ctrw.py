@@ -40,7 +40,6 @@ class MCEstimate:
     mean: float
     std_error: float
     n_traj: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,7 @@ class DensityGrid:
     y_edges: np.ndarray
     v_edges: np.ndarray
     masses: np.ndarray
-    counts: np.ndarray
     n_traj: int
-    x0: float
-    s0: float
-    tau: float
-    seed: int
 
 
 def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
@@ -214,16 +208,16 @@ def _map_ranges(fn, n_traj, threads):
         return list(pool.map(fn, ranges))
 
 
-def _hitting(x0, s0, t, tau, n_traj, seed, model, kern, law, threads, step_cap):
+def _hitting(x0, s0, t, tau, n_traj, seed, model, kern, law, threads):
     if t <= s0:
         raise ValueError("horizon must exceed the initial accumulated time")
     parts = _map_ranges(lambda ids: _run_chunk_to_horizon(
-        model, kern, law, x0, s0, t, tau, seed, ids, step_cap), n_traj, threads)
+        model, kern, law, x0, s0, t, tau, seed, ids, DEFAULT_STEP_CAP), n_traj, threads)
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def estimate_functional(F, x0, s0, t, tau, n_traj, seed, *, model, kernel_family, law,
-                        threads: int = 1, step_cap: int = DEFAULT_STEP_CAP) -> MCEstimate:
+                        threads: int = 1) -> MCEstimate:
     """Monte Carlo mean of F over the time-changed walk at horizon t.
 
     Deterministic in (seed, config): trajectory i always uses stream
@@ -233,8 +227,7 @@ def estimate_functional(F, x0, s0, t, tau, n_traj, seed, *, model, kernel_family
     """
     if n_traj < 100:
         raise ValueError("n_traj must be at least 100")
-    xs, _ = _hitting(x0, s0, t, tau, n_traj, seed, model, kernel_family, law, threads,
-                     step_cap)
+    xs, _ = _hitting(x0, s0, t, tau, n_traj, seed, model, kernel_family, law, threads)
     sums, sums_sq = [], []
     for lo in range(0, n_traj, _CHUNK):
         hi = min(lo + _CHUNK, n_traj)
@@ -247,14 +240,13 @@ def estimate_functional(F, x0, s0, t, tau, n_traj, seed, *, model, kernel_family
         sums_sq.append(float(np.sum(vals * vals)))
     mean = math.fsum(sums) / n_traj
     var = max(math.fsum(sums_sq) / n_traj - mean * mean, 0.0) * n_traj / max(n_traj - 1, 1)
-    return MCEstimate(mean=mean, std_error=math.sqrt(var / n_traj), n_traj=n_traj, seed=seed)
+    return MCEstimate(mean=mean, std_error=math.sqrt(var / n_traj), n_traj=n_traj)
 
 
 def sample_hitting(x0, s0, t, tau, n_traj, seed, *, model, kernel_family, law,
-                   threads: int = 1, step_cap: int = DEFAULT_STEP_CAP):
+                   threads: int = 1):
     """Raw ensemble results: final positions and hitting step times."""
-    xs, ks = _hitting(x0, s0, t, tau, n_traj, seed, model, kernel_family, law, threads,
-                      step_cap)
+    xs, ks = _hitting(x0, s0, t, tau, n_traj, seed, model, kernel_family, law, threads)
     return xs, ks * tau
 
 
@@ -272,8 +264,8 @@ def sample_chain_at_steps(x0, s0, tau, step_counts, n_traj, seed, *, model, kern
                 np.concatenate([p[c][1] for p in parts])) for c in parts[0]}
 
 
-def dump_trajectories(path, x0, s0, t, tau, n_traj, seed, *, model, kernel_family, law,
-                      step_cap: int = DEFAULT_STEP_CAP) -> None:
+def dump_trajectories(path, x0, s0, t, tau, n_traj, seed, *, model, kernel_family,
+                      law) -> None:
     """Write the first n_traj trajectories as CSV rows (traj, step, x, s),
     replaying the exact streams the estimators consume; x is the first
     coordinate."""
@@ -287,7 +279,7 @@ def dump_trajectories(path, x0, s0, t, tau, n_traj, seed, *, model, kernel_famil
         for i in range(n_traj):
             writer.writerow([i, 0, repr(float(np.ravel(x0)[0])), repr(float(s0))])
             _advance(model, kernel_family, law, x0, s0, tau, seed,
-                     np.asarray([i], dtype=np.uint64), lambda k, s: s >= t, step_cap,
+                     np.asarray([i], dtype=np.uint64), lambda k, s: s >= t, DEFAULT_STEP_CAP,
                      on_step=record)
 
 
@@ -319,9 +311,5 @@ def empirical_transition_density(x0, s0, tau, u_grid, y_edges, v_edges, n_traj, 
             ss = np.clip(ss, v_edges[0], None)
         hist, _, _ = np.histogram2d(xs, ss, bins=[y_edges, v_edges])
         counts[i] = hist.astype(np.int64)
-    masses = counts / float(n_traj)
-    return DensityGrid(
-        u_values=u_grid, y_edges=y_edges, v_edges=v_edges, masses=masses,
-        counts=counts, n_traj=n_traj, x0=float(np.atleast_1d(x0)[0]), s0=float(s0),
-        tau=float(tau), seed=int(seed),
-    )
+    return DensityGrid(u_values=u_grid, y_edges=y_edges, v_edges=v_edges,
+                       masses=counts / float(n_traj), n_traj=n_traj)

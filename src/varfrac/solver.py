@@ -54,20 +54,6 @@ class Field:
     values: np.ndarray  # (n_s + 1, n_x)
 
 
-@dataclass(frozen=True)
-class TimeWeights:
-    """Product-integration weights for the memory integral at one slice.
-
-    weights[m-1] multiplies (g(s + m ds) - g(s)) for m = 1..n_future;
-    boundary_coef multiplies (g(t) - g(s)).
-    """
-
-    gamma: float
-    ds: float
-    weights: np.ndarray
-    boundary_coef: float
-
-
 def _cell_moments(gamma, m_idx, ds):
     """A_m = int over cell m of r^(-1-gamma), B_m = same against the local
     linear ramp (r - m ds)/ds; closed forms for a scalar gamma."""
@@ -107,30 +93,6 @@ def _weight_tables(gamma, n: int, ds: float):
     T[0] = r[0]
     T[1:] = r[1:] - r[:-1] - k[:-1] * A  # B of cells 1..n-1
     return T[:-1] + A - T[1:], T, bnd
-
-
-def build_time_weights(gamma: float, n_future: int, ds: float) -> TimeWeights:
-    """Weights of one slice n_future steps before the horizon: one column of
-    the solver's weight tables."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    W, T, bnd = _weight_tables([gamma], int(n_future), ds)
-    return TimeWeights(gamma=float(gamma), ds=float(ds), weights=np.append(W[:, 0], T[-1, 0]),
-                       boundary_coef=float(bnd[-1, 0]))
-
-
-def apply_right_derivative(weights: TimeWeights, g: np.ndarray, j: int = 0) -> float:
-    """Discrete nonlocal derivative at slice j from the future values
-    g[j], g[j+1], ..., g[j+M] (the last entry is the terminal value):
-
-        -sum_m w_m  (g[j+m] - g[j]) - (g[-1] - g[j]) * boundary_coef
-    """
-    M = len(weights.weights)
-    seg = np.asarray(g[j : j + M + 1], dtype=float)
-    if len(seg) != M + 1:
-        raise ValueError("slice values do not cover the weight span")
-    mem = float(np.dot(weights.weights, seg[1:] - seg[0]))
-    return -mem - (seg[-1] - seg[0]) * weights.boundary_coef
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +141,9 @@ def build_spatial_operator(model: Model, grid: Grid) -> np.ndarray:
     W[M_y] = B[-1]
     # Fold onto the periodic grid.
     folded = np.bincount(np.arange(1, M_y + 1) % n, weights=W[1:], minlength=n)
-    offs = (-np.arange(1, M_y + 1)) % n
-    row_rev = np.bincount(offs, weights=W[1:], minlength=n)
-    base = folded + row_rev  # total weight reaching column (i + c) mod n
+    # Offset -j lands on column -c where +j lands on c: the same terms,
+    # summed in the same order.
+    base = folded + folded[(-idx) % n]  # total weight reaching column (i + c) mod n
     total = np.sum(W[1:]) * 2.0
     base[0] -= total  # subtract 2 f(x) sum W
     # Tail beyond the truncation: attach to the grid mean.

@@ -21,6 +21,8 @@ from .model import Diffusion, Model, gamma_at
 from .oracles import ConstantOrderDensity
 from .waiting import DiscretizedWaitingLaw
 
+_MAX_CELLS = 1 << 26  # state-lattice cells the exhaustive recursion may allocate
+
 
 def theta_tail(model: Model, v: float, y, t: float) -> float:
     """Tail functional of the waiting jump measure at state (v, y):
@@ -217,8 +219,7 @@ def _find_u_max(G, s0, t):
 
 
 def discrete_subordinated_expectation(model: Model, dlaw: DiscretizedWaitingLaw, F,
-                                      x0, s0, t, tau,
-                                      max_cells: int = 1 << 26):
+                                      x0, s0, t, tau):
     """Exact expectation of F at the crossing step for the discrete chain
     with atomized waiting law, by forward recursion on the state lattice.
 
@@ -254,8 +255,8 @@ def discrete_subordinated_expectation(model: Model, dlaw: DiscretizedWaitingLaw,
     k_cap = int(math.ceil(need / offset)) + 2
     n_m = int(math.ceil(need / spacing)) + J + 2
     n_i = 2 * k_cap + 1
-    if n_i * n_m > max_cells:
-        raise LatticeOverflow(f"lattice would need {n_i * n_m} cells (> {max_cells})")
+    if n_i * n_m > _MAX_CELLS:
+        raise LatticeOverflow(f"lattice would need {n_i * n_m} cells (> {_MAX_CELLS})")
 
     P = np.zeros((n_i, n_m))
     c_i = k_cap

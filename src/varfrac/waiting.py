@@ -56,13 +56,6 @@ class WaitingLaw:
         # Head branch, where u < head_mass (so head_mass > 0): uniform on [0, B).
         return np.divide(u, head_mass / self.B, out=r, where=u < head_mass)
 
-    def survival(self, gamma, t):
-        gamma = np.asarray(gamma, dtype=float)
-        t = np.asarray(t, dtype=float)
-        tail = np.power(np.maximum(t, self.B), -gamma) / gamma
-        head = 1.0 - self.head_height(gamma) * np.maximum(t, 0.0)
-        return np.where(t >= self.B, tail, head)
-
 
 def build_waiting_law(gamma_lo: float, gamma_hi: float) -> WaitingLaw:
     """Construct a waiting law valid for every gamma in [gamma_lo, gamma_hi].

@@ -1,0 +1,109 @@
+"""Small-step and limit generators of the spatial jump laws, for the
+generator tests.
+
+The walk's small-step generator of a kernel family tends to the limit
+generator as tau -> 0; the paper's convergence runs through that limit.
+No run of the package calls these, so they live beside their tests, as the
+scalar reference chain does.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import integrate
+
+from varfrac.errors import QuadratureFailure
+from varfrac.kernels import DiffusionKernelFamily, _diffusion_atoms, kernel_family
+from varfrac.model import Diffusion, Model
+
+
+def apply_approx_generator(family, tau: float, f, x) -> float:
+    """Small-step generator (1/tau) int (f(x + tau^(1/beta) z) - f(x)) p(x, dz)
+    of a kernel family at x, with beta = 2 for diffusion atoms and the
+    family's own beta otherwise.
+
+    Exact atom sum for diffusion atoms; adaptive quadrature (symmetrized, so
+    odd integrands vanish identically) for the power law, whose density is
+    m(x)|z|^(-1-beta) beyond B = (2 m(x) / beta)^(1/beta) and zero inside.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    model = family.model
+    if isinstance(family, DiffusionKernelFamily):
+        h = tau ** 0.5
+        atoms, weights = _diffusion_atoms(model, x[None, :] if model.dim == 2 else x[:1])
+        vals = [w * (f(x + h * z) - f(x)) for z, w in zip(atoms[0], weights)]
+        return float(np.asarray(sum(vals)).reshape(-1)[0]) / tau
+    beta = family.beta
+    h = tau ** (1.0 / beta)
+    x0 = float(x[0])
+    coef = float(model.spatial.m(0.0, x0))
+    B = (2.0 * coef / beta) ** (1.0 / beta)
+
+    def sym(z):
+        return f(x0 + h * z) + f(x0 - h * z) - 2.0 * f(x0)
+
+    # Beyond Z the test function has leveled off; freeze it there and close
+    # the tail in closed form.
+    Z = max(60.0 / h, 20.0 * B)
+    v1, e1 = integrate.quad(
+        lambda z: sym(z) * z ** (-1.0 - beta), B, Z,
+        limit=800, epsabs=1e-12, epsrel=1e-11, points=[min(1.0 / h, Z / 2.0)],
+    )
+    tail = sym(2.0 * Z) * Z ** (-beta) / beta
+    if coef * e1 / tau > 1e-8:
+        raise QuadratureFailure(f"generator quadrature error {coef * e1 / tau:.3g}")
+    return coef * (v1 + tail) / tau
+
+
+def limit_generator(model: Model, f, x) -> float:
+    """The limiting spatial generator at x: (1/2) tr(G(x) f'') for the
+    diffusion part, or the singular jump integral with density
+    m(x)|y|^(-1-beta) for the stable part. f must provide second derivatives
+    (attribute d2 in 1-D, hess in 2-D) for the diffusion case."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if isinstance(model.spatial, Diffusion):
+        if model.dim == 1:
+            g = float(model.spatial.g(0.0, x[0]))
+            return 0.5 * g * float(f.d2(x[0]))
+        G = np.asarray(model.spatial.g(x), dtype=float)
+        return 0.5 * float(np.trace(G @ np.asarray(f.hess(x))))
+    beta = model.spatial.beta
+    m = float(model.spatial.m(0.0, x[0]))
+    x0 = float(x[0])
+
+    def pair(y):
+        return f.fn(x0 + y) + f.fn(x0 - y) - 2.0 * f.fn(x0)
+
+    Z = 80.0
+    v1, e1 = integrate.quad(
+        lambda y: pair(y) * y ** (-1.0 - beta), 0.0, Z,
+        limit=800, epsabs=1e-12, epsrel=1e-11, points=[1.0],
+    )
+    tail = pair(2.0 * Z) * Z ** (-beta) / beta
+    if e1 > 1e-8:
+        raise QuadratureFailure("limit generator quadrature did not converge")
+    return m * (v1 + tail)
+
+
+@dataclass(frozen=True)
+class TestFunction:
+    """A C^2 test function bundle for generator residual checks."""
+
+    fn: object
+    d2: object = None
+    hess: object = None
+
+
+def generator_residual(model: Model, tau: float, f_set, x_grid) -> float:
+    """sup over test functions and grid points of |limit - small-step| at
+    scale tau."""
+    fam = kernel_family(model)
+    worst = 0.0
+    for f in f_set:
+        for x in np.atleast_1d(np.asarray(x_grid, dtype=float)):
+            approx = apply_approx_generator(fam, tau, f.fn, x)
+            exact = limit_generator(model, f, x)
+            worst = max(worst, abs(exact - approx))
+    return worst

@@ -34,7 +34,9 @@ def step_chain(state: ChainState, tau, model: Model, kernel_family, law, u_jump,
     x = np.atleast_1d(np.asarray(state.x, dtype=float))
     gam = float(gamma_at(model, state.s, x[0] if model.dim == 1 else x))
     r = float(law.sample(gam, u_wait))
-    s_new = state.s + float(np.power(tau, 1.0 / gam)) * r
+    # The exponent is a one-element array, as in the chain: numpy's scalar
+    # power can round the last bit differently from its array loop.
+    s_new = state.s + float(np.power(tau, 1.0 / np.full(1, gam))[0]) * r
     if model.dim == 1:
         y = kernel_family.sample(x, np.asarray([u_jump]))
         x_new = x + tau ** (1.0 / model.beta) * np.asarray(y)

@@ -199,7 +199,8 @@ def test_density_grid_masses_and_support(const_setup):
     assert np.array_equal(sums, np.ones_like(sums))  # exactly 1 per slice
     # the accumulated coordinate starts at 0 and only increases
     assert G.masses[:, :, 0].sum() >= 0.0
-    assert G.counts.sum() == 2 * 5_000
+    # every trajectory lands in a cell of every slice
+    assert np.array_equal(np.round(G.masses * 5_000).sum(axis=(1, 2)), [5_000, 5_000])
 
 
 def test_density_grid_requires_enough_steps(const_setup):
@@ -305,6 +306,22 @@ def test_step_chain_replay_matches_ensemble(varorder_setup):
         state = replay_to_horizon(i, 0.0, 1.0, 1e-2, 8, **kw)
         assert state.x[0] == xs[i]
         assert state.k * 1e-2 == Ts[i]
+
+
+@pytest.mark.parametrize("tau", [0.05, 3e-5])
+def test_step_chain_replay_matches_snapshot_times(const_setup, tau):
+    # At gamma = 0.5 numpy's scalar power tau^2 is 1 ulp off the chain's
+    # array loop at these tau, so only the array form replays the times.
+    model, fam, law = const_setup
+    xs, ss = ctrw.sample_chain_at_steps(0.0, 0.0, tau, [40], 200, 3, model=model,
+                                        kernel_family=fam, law=law)[40]
+    for i in range(200):
+        state = ChainState(x=np.array([0.0]), s=0.0)
+        stream = TrajectoryStream(seed=3, traj_index=i)
+        for _ in range(40):
+            state = step_chain(state, tau, model, fam, law, *stream.next_pair())
+        assert state.x[0] == xs[i]
+        assert state.s == ss[i]
 
 
 def test_narrow_call_replay_matches_last_lanes(varorder_setup):
@@ -443,9 +460,10 @@ def test_step_budget_enforced_per_lane(const_setup):
     kw = dict(model=model, kernel_family=fam, law=law)
     _, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 300, 4, **kw)
     most = int(np.max(np.round(Ts / 0.05)))
-    ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 300, 4, step_cap=most, **kw)
+    ids = np.arange(300, dtype=np.uint64)  # the one range sample_hitting runs
+    ctrw._run_chunk_to_horizon(model, fam, law, 0.0, 0.0, 1.0, 0.05, 4, ids, most)
     with pytest.raises(StepBudgetExceeded):
-        ctrw.sample_hitting(0.0, 0.0, 1.0, 0.05, 300, 4, step_cap=most - 1, **kw)
+        ctrw._run_chunk_to_horizon(model, fam, law, 0.0, 0.0, 1.0, 0.05, 4, ids, most - 1)
 
 
 def test_step_budget_enforced_inside_a_block(varorder_setup):
@@ -454,9 +472,11 @@ def test_step_budget_enforced_inside_a_block(varorder_setup):
     kw = varorder_setup
     _, Ts = ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-3, 300, 8, **kw)
     most = int(np.max(np.round(Ts / 1e-3)))
-    ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-3, 300, 8, step_cap=most, **kw)
+    args = (kw["model"], kw["kernel_family"], kw["law"], 2.0, 0.0, 1.0, 1e-3, 8,
+            np.arange(300, dtype=np.uint64))
+    ctrw._run_chunk_to_horizon(*args, most)
     with pytest.raises(StepBudgetExceeded):
-        ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-3, 300, 8, step_cap=most - 1, **kw)
+        ctrw._run_chunk_to_horizon(*args, most - 1)
 
 
 def test_estimator_rejects_non_finite_functional(const_setup):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import generators as gen
 from varfrac import kernels as kr
 from varfrac.errors import KernelInfeasible
 from varfrac.model import make_model
@@ -121,7 +122,7 @@ def test_apply_generator_quadratic_exact():
                 "g_lo": 1.7, "g_hi": 1.7})
     k = kr.kernel_family(m)
     for tau in (1.0, 0.3, 1e-3):
-        assert kr.apply_approx_generator(k, tau, lambda y: y**2, 0.4) == pytest.approx(
+        assert gen.apply_approx_generator(k, tau, lambda y: y**2, 0.4) == pytest.approx(
             1.7, rel=1e-12
         )
 
@@ -130,7 +131,7 @@ def test_apply_generator_constant_zero():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                 "g_lo": 1.0, "g_hi": 1.0})
     k = kr.kernel_family(m)
-    assert kr.apply_approx_generator(k, 0.1, lambda y: 3.0 * np.ones_like(y), 0.0) == 0.0
+    assert gen.apply_approx_generator(k, 0.1, lambda y: 3.0 * np.ones_like(y), 0.0) == 0.0
 
 
 def test_apply_generator_sin_limit():
@@ -139,8 +140,8 @@ def test_apply_generator_sin_limit():
                 "g_lo": 1.0, "g_hi": 1.0})
     x = 0.9
     k = kr.kernel_family(m)
-    v1 = kr.apply_approx_generator(k, 2e-3, np.sin, x)
-    v2 = kr.apply_approx_generator(k, 1e-3, np.sin, x)
+    v1 = gen.apply_approx_generator(k, 2e-3, np.sin, x)
+    v2 = gen.apply_approx_generator(k, 1e-3, np.sin, x)
     extrap = 2.0 * v2 - v1
     assert extrap == pytest.approx(-0.5 * math.sin(x), abs=1e-8)
 
@@ -149,34 +150,34 @@ def test_generator_odd_function_vanishes(stable_model):
     m1 = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                  "g_lo": 1.0, "g_hi": 1.0})
     k1 = kr.kernel_family(m1)
-    val = kr.apply_approx_generator(k1, 0.1, lambda y: (y - 0.7) ** 3, 0.7)
+    val = gen.apply_approx_generator(k1, 0.1, lambda y: (y - 0.7) ** 3, 0.7)
     assert abs(val) < 1e-12
     ks = kr.kernel_family(stable_model)
     odd = lambda y: (y) * np.exp(-(y**2))
-    assert abs(kr.apply_approx_generator(ks, 0.1, odd, 0.0)) < 1e-12
+    assert abs(gen.apply_approx_generator(ks, 0.1, odd, 0.0)) < 1e-12
 
 
 def test_generator_residual_quadratic_zero():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                 "g_lo": 1.0, "g_hi": 1.0})
-    f = kr.TestFunction(fn=lambda y: y**2, d2=lambda y: 2.0 * np.ones_like(np.asarray(y)))
-    assert kr.generator_residual(m, 0.05, [f], np.linspace(-1, 1, 5)) < 1e-10
+    f = gen.TestFunction(fn=lambda y: y**2, d2=lambda y: 2.0 * np.ones_like(np.asarray(y)))
+    assert gen.generator_residual(m, 0.05, [f], np.linspace(-1, 1, 5)) < 1e-10
 
 
 def test_generator_residual_first_order_in_tau():
     m = _model({"kind": "diffusion", "g": {"kind": "constant", "value": 1.0},
                 "g_lo": 1.0, "g_hi": 1.0})
-    f = kr.TestFunction(fn=np.sin, d2=lambda y: -np.sin(y))
+    f = gen.TestFunction(fn=np.sin, d2=lambda y: -np.sin(y))
     xg = np.linspace(-2.0, 2.0, 9)
-    r1 = kr.generator_residual(m, 0.02, [f], xg)
-    r2 = kr.generator_residual(m, 0.01, [f], xg)
+    r1 = gen.generator_residual(m, 0.02, [f], xg)
+    r2 = gen.generator_residual(m, 0.01, [f], xg)
     assert r2 / r1 == pytest.approx(0.5, abs=0.1)
 
 
 def test_generator_residual_stable_monotone(stable_model):
-    f = kr.TestFunction(fn=lambda y: np.exp(-(y**2)))
+    f = gen.TestFunction(fn=lambda y: np.exp(-(y**2)))
     xg = np.linspace(-2.0, 2.0, 9)
-    res = [kr.generator_residual(stable_model, t, [f], xg) for t in (0.04, 0.02, 0.01)]
+    res = [gen.generator_residual(stable_model, t, [f], xg) for t in (0.04, 0.02, 0.01)]
     assert res[0] > res[1] > res[2]
 
 

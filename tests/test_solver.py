@@ -14,48 +14,50 @@ TIME_DEPENDENT = copy.deepcopy(VARIABLE_ORDER)
 TIME_DEPENDENT["order_field"]["freq_t"] = 2.0
 
 
+def _weights(gamma, M, ds):
+    """Memory weights of the slice M steps before the horizon, for offsets
+    1..M (the last is the terminal one), and its boundary coefficient: one
+    column of the solver's tables."""
+    W, T, bnd = solver._weight_tables([gamma], M, ds)
+    return np.append(W[:, 0], T[-1, 0]), float(bnd[-1, 0])
+
+
+def _right_derivative(gamma, ds, g, j=0):
+    """Discrete nonlocal derivative at slice j from g[j], ..., g[-1] (the last
+    entry is the terminal value): -sum_m w_m (g[j+m] - g[j]) - (g[-1] - g[j]) bnd."""
+    seg = np.asarray(g[j:], dtype=float)
+    w, bnd = _weights(gamma, len(seg) - 1, ds)
+    return -float(np.dot(w, seg[1:] - seg[0])) - (seg[-1] - seg[0]) * bnd
+
+
 def test_weights_nonnegative_and_exact_for_linear():
     for gamma in (0.2, 0.5, 0.8):
-        tw = solver.build_time_weights(gamma, 12, 0.05)
-        assert np.all(tw.weights >= 0.0)
+        w, _ = _weights(gamma, 12, 0.05)
+        assert np.all(w >= 0.0)
         slope = -0.7
         g = 3.0 + slope * 0.05 * np.arange(13)
         R = 12 * 0.05
         exact = slope * R ** (1.0 - gamma) / (1.0 - gamma)
-        assert np.dot(tw.weights, g[1:] - g[0]) == pytest.approx(exact, abs=1e-12)
+        assert np.dot(w, g[1:] - g[0]) == pytest.approx(exact, abs=1e-12)
 
 
 def test_first_cell_moment_closed_form():
     # gamma = 1/2, g(s + r) - g(s) = r: integral over [0, R] is 2 sqrt(R)
-    tw = solver.build_time_weights(0.5, 8, 0.125)
+    w, _ = _weights(0.5, 8, 0.125)
     g = 0.125 * np.arange(9)
-    assert np.dot(tw.weights, g[1:] - g[0]) == pytest.approx(2.0 * math.sqrt(1.0), abs=1e-12)
-
-
-def test_build_time_weights_is_a_column_of_the_tables():
-    # the march reads whole (offset, position) tables; one column of them
-    # has the bits of the single-order weights the tests check
-    gammas = np.array([0.2, 0.37, 0.5, 0.55, 0.8])
-    for M in (1, 2, 7, 48):
-        W, T, bnd = solver._weight_tables(gammas, M, 1.0 / 48)
-        for i, gamma in enumerate(gammas):
-            tw = solver.build_time_weights(gamma, M, 1.0 / 48)
-            assert np.array_equal(tw.weights, np.append(W[:, i], T[M - 1, i]))
-            assert tw.boundary_coef == bnd[M - 1, i]
+    assert np.dot(w, g[1:] - g[0]) == pytest.approx(2.0 * math.sqrt(1.0), abs=1e-12)
 
 
 def test_right_derivative_constant_vanishes():
-    tw = solver.build_time_weights(0.5, 8, 0.125)
     g = np.full(9, 2.3)
-    assert solver.apply_right_derivative(tw, g, 0) == 0.0
+    assert _right_derivative(0.5, 0.125, g) == 0.0
 
 
 def test_right_derivative_linear_closed_form():
     # g(s) = t - s: the derivative is (t-s)^(1-gamma) (1/(1-gamma) + 1/gamma)
     gamma, ds, M = 0.5, 0.125, 8
-    tw = solver.build_time_weights(gamma, M, ds)
     g = (M * ds) - ds * np.arange(M + 1)
-    val = solver.apply_right_derivative(tw, g, 0)
+    val = _right_derivative(gamma, ds, g)
     R = M * ds
     exact = R ** (1.0 - gamma) * (1.0 / (1.0 - gamma) + 1.0 / gamma)
     assert val == pytest.approx(exact, abs=1e-10)
@@ -72,8 +74,7 @@ def test_right_derivative_eigenfunction_refinement():
         ds = t / n
         sigma = t - ds * np.arange(n + 1)
         g = np.array([oracles.mittag_leffler(gamma, -c * s**gamma) for s in sigma])
-        tw = solver.build_time_weights(gamma, n, ds)
-        val = solver.apply_right_derivative(tw, g, 0)
+        val = _right_derivative(gamma, ds, g)
         errs.append(abs(val - (-lam * g[0])))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 5e-3
@@ -157,14 +158,9 @@ def test_variable_order_discrete_equation_residual(varorder_model):
         out = solver.solve_terminal_problem(model, np.cos, 1.0, grid)
         L = solver.build_spatial_operator(model, grid)
         for j in (0, 17, 40):
-            M = grid.n_s - j
             gam_x = model.alpha * model.order_field(grid.s[j], grid.x)
-            lhs = np.array([
-                solver.apply_right_derivative(
-                    solver.build_time_weights(gam_x[i], M, grid.ds), out.values[:, i], j
-                )
-                for i in range(grid.n_x)
-            ])
+            lhs = np.array([_right_derivative(gam_x[i], grid.ds, out.values[:, i], j)
+                            for i in range(grid.n_x)])
             rhs = L @ out.values[j]
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 

@@ -135,9 +135,7 @@ def test_empirical_grid_must_cover_horizon(const_model, empirical_G):
         y_edges=empirical_G.y_edges,
         v_edges=np.linspace(0.0, 0.5, 11),
         masses=empirical_G.masses[:, :, :10],
-        counts=empirical_G.counts[:, :, :10],
         n_traj=empirical_G.n_traj,
-        x0=0.0, s0=0.0, tau=2e-3, seed=314,
     )
     with pytest.raises(SingularityResolutionError):
         subordination.subordinated_expectation(
@@ -152,8 +150,7 @@ def test_density_start_outside_y_range_raises(stable_model, x0):
     masses = np.full((2, 4, 2), 1.0 / 8.0)
     G = ctrw.DensityGrid(
         u_values=np.array([0.5, 1.0]), y_edges=np.linspace(-1.0, 1.0, 5),
-        v_edges=np.linspace(0.0, 1.0, 3), masses=masses, counts=masses * 800,
-        n_traj=800, x0=0.0, s0=0.0, tau=1e-2, seed=0,
+        v_edges=np.linspace(0.0, 1.0, 3), masses=masses, n_traj=800,
     )
     subordination.subordinated_density(stable_model, G, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"x0 = .* outside the grid's y range \[-1.0, 1.0\)"):
@@ -214,13 +211,14 @@ def test_recursion_requires_constant_order(varorder_model, lattice_setup):
         )
 
 
-def test_recursion_lattice_guard(lattice_setup):
+def test_recursion_lattice_guard(lattice_setup, monkeypatch):
     from varfrac.errors import LatticeOverflow
 
     model, dlaw, tau = lattice_setup
+    monkeypatch.setattr(subordination, "_MAX_CELLS", 16)
     with pytest.raises(LatticeOverflow):
         subordination.discrete_subordinated_expectation(
-            model, dlaw, np.cos, 0.0, 0.0, 1.0, tau, max_cells=16
+            model, dlaw, np.cos, 0.0, 0.0, 1.0, tau
         )
 
 
