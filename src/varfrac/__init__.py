@@ -28,7 +28,6 @@ from .subordination import (
     discrete_subordinated_expectation,
     subordinated_density,
     subordinated_expectation,
-    theta_tail,
 )
 from .waiting import (
     RateReport,

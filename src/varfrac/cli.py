@@ -17,7 +17,8 @@ import sys
 
 from . import ctrw, solver
 from .errors import ConfigError, SchemaMismatch, VarfracError
-from .experiments import CSV_COLUMNS, PRESETS, RUNNERS, evaluate_checks, validate_config
+from .experiments import (CSV_COLUMNS, DESCRIPTIONS, PRESETS, RUNNERS, evaluate_checks,
+                          validate_config)
 
 
 def _format_cell(v):
@@ -181,15 +182,8 @@ def cmd_compare(args):
 
 
 def cmd_presets(_args):
-    blurbs = {
-        "rate-check": "scaled tail functional error against its analytic bound",
-        "triangulation": "constant-order: solver, sampler, and quadrature vs closed form",
-        "variable-order": "variable-order: solver vs sampler across a step ladder",
-        "subordination-identity": "exhaustive recursion, marginal law, empirical quadrature",
-        "solver-convergence": "grid refinement, conservation, linearity, maximum principle",
-    }
     for name in PRESETS:
-        print(f"{name:24s} {blurbs[name]}")
+        print(f"{name:24s} {DESCRIPTIONS[name]}")
     return 0
 
 

@@ -10,12 +10,12 @@ variates keyed by (seed, i, k), so lane width and thread count (at least 1)
 are free to vary. A lane hashes (seed, i) once when it takes id i; each step
 mixes only (k, channel) into that key. Once no id waits for a lane, a thinned
 vector of L lanes advances _LANES // L steps per pass when the jump law
-ignores position, the order ignores time and no callback sees every step:
-positions then follow from the jumps alone and times from the positions, so
-both are running sums over the pass, added in step order, and the bits are
-those of one step per pass. The reduction blocks are fixed: F is summed over
-the same `_CHUNK`-id blocks, combined in block order with exact compensated
-summation, so estimates are bit-identical for any thread count.
+ignores position and the order ignores time: positions then follow from the
+jumps alone and times from the positions, so both are running sums over the
+pass, added in step order, and the bits are those of one step per pass. The
+reduction blocks are fixed: F is summed over the same `_CHUNK`-id blocks,
+combined in block order with exact compensated summation, so estimates are
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -58,16 +58,15 @@ class DensityGrid:
     n_traj: int
 
 
-def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
-             on_step=None):
+def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf):
     """Run trajectories ids over at most _LANES lanes; return their final
     (positions, step counts) ordered like ids.
 
-    A pass advances every lane by `width` steps: ends(k, s) sees the
-    (width, lanes) step counts and times of the pass and marks the steps at
-    which a trajectory ends. A lane stops at its first mark and restarts on
-    the next id, or is dropped once none are left. on_step(pos, k, x, s)
-    sees every lane after every step; pos indexes ids.
+    A pass advances every lane by `width` steps: ends(pos, k, x, s) sees the
+    lanes' indices into ids and the pass's (width, lanes) step counts,
+    positions and times, and marks the steps at which a trajectory ends. A
+    lane stops at its first mark and restarts on the next id, or is dropped
+    once none are left.
     """
     if not 0.0 < float(tau) < math.inf:
         raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
@@ -77,8 +76,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
     # Jumps that ignore position make a lane's path independent of its
     # clock, and an order that ignores time makes the clock a function of
     # the path: a pass may then take many steps.
-    blocked = (on_step is None and kern.position_free
-               and model.order_field.time_independent)
+    blocked = kern.position_free and model.order_field.time_independent
     pos = np.arange(min(n, _LANES))
     lane_ids = ids[pos]
     keys = lane_keys(seed, lane_ids)
@@ -132,9 +130,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf,
         # it writes any other row.
         x, s = path[-1], clock[-1]
         k += width
-        if on_step is not None:
-            on_step(pos, k, x, s)
-        done = ends(steps, clock[1:])
+        done = ends(pos, steps, path[1:], clock[1:])
         lanes = done.any(axis=0).nonzero()[0]
         if not len(lanes):
             continue
@@ -170,26 +166,29 @@ def _running_sum(a):
 
 def _run_chunk_to_horizon(model, kern, law, x0, s0, t, tau, seed, ids, step_cap):
     """(final positions, step counts) of trajectories ids run to horizon t."""
-    return _advance(model, kern, law, x0, s0, tau, seed, ids, lambda k, s: s >= t, step_cap)
+    return _advance(model, kern, law, x0, s0, tau, seed, ids,
+                    lambda pos, k, x, s: s >= t, step_cap)
 
 
 def _run_chunk_fixed_steps(model, kern, law, x0, s0, tau, seed, ids, step_counts):
     """{count: (x, s) at that step} for trajectories ids, ordered like ids.
     Every lane starts together and ends at the last count, so refills restart
-    the whole vector and all lanes are always on the same step."""
+    the whole vector and all lanes are always on the same step: row j of a
+    pass is one step count."""
     targets = sorted({int(c) for c in step_counts})
     shape = (len(ids),) + np.shape(x0)
     snaps = {c: (np.empty(shape), np.empty(len(ids))) for c in targets}
-
-    def snapshot(pos, k, x, s):
-        snap = snaps.get(int(k[0]))
-        if snap is not None:
-            snap[0][pos] = x
-            snap[1][pos] = s
-
     last = targets[-1]
-    _advance(model, kern, law, x0, s0, tau, seed, ids, lambda k, s: k == last,
-             on_step=snapshot)
+
+    def ends(pos, k, x, s):
+        first = int(k[0, 0])
+        for c in targets:
+            if first <= c < first + len(k):
+                snaps[c][0][pos] = x[c - first]
+                snaps[c][1][pos] = s[c - first]
+        return k == last
+
+    _advance(model, kern, law, x0, s0, tau, seed, ids, ends)
     return snaps
 
 
@@ -274,13 +273,16 @@ def dump_trajectories(path, x0, s0, t, tau, n_traj, seed, *, model, kernel_famil
         writer.writerow(["traj", "step", "x", "s"])
 
         def record(pos, k, x, s):
-            writer.writerow([i, int(k[0]), repr(float(x.flat[0])), repr(float(s[0]))])
+            done = s >= t
+            rows = done[:, 0].argmax() + 1 if done.any() else len(k)
+            writer.writerows([i, int(k[j, 0]), repr(float(x[j].flat[0])), repr(float(s[j, 0]))]
+                             for j in range(rows))
+            return done
 
         for i in range(n_traj):
             writer.writerow([i, 0, repr(float(np.ravel(x0)[0])), repr(float(s0))])
             _advance(model, kernel_family, law, x0, s0, tau, seed,
-                     np.asarray([i], dtype=np.uint64), lambda k, s: s >= t, DEFAULT_STEP_CAP,
-                     on_step=record)
+                     np.asarray([i], dtype=np.uint64), record, DEFAULT_STEP_CAP)
 
 
 def empirical_transition_density(x0, s0, tau, u_grid, y_edges, v_edges, n_traj, seed, *,

@@ -49,10 +49,6 @@ class StepBudgetExceeded(VarfracError):
     horizon."""
 
 
-class DomainError(VarfracError):
-    """Arguments outside the mathematical domain of an operation."""
-
-
 class SingularityResolutionError(VarfracError):
     """The time grid does not resolve the integrable singularity at the
     horizon."""

@@ -537,6 +537,15 @@ RUNNERS = {
     "subordination-identity": run_subordination_identity,
     "solver-convergence": run_solver_convergence,
 }
+# One line per experiment for `varfrac presets`; kept out of PRESETS, whose
+# keys are config keys.
+DESCRIPTIONS = {
+    "rate-check": "scaled tail functional error against its analytic bound",
+    "triangulation": "constant-order: solver, sampler, and quadrature vs closed form",
+    "variable-order": "variable-order: solver vs sampler across a step ladder",
+    "subordination-identity": "exhaustive recursion, marginal law, empirical quadrature",
+    "solver-convergence": "grid refinement, conservation, linearity, maximum principle",
+}
 
 # What a runner assumes of its model beyond make_model's checks;
 # validate_config rejects a model without it.

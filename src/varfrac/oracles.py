@@ -21,6 +21,7 @@ from .errors import AccuracyLoss, InversionFailure, QuadratureFailure
 
 _ML_MAX_ABS = 50.0
 _ML_INTEGRAL_GAMMA_MAX = 0.97
+_MIXTURE_N_U = 2000  # u cells of time_changed_gaussian_density
 
 
 def laplace_exponent(gamma: float, lam):
@@ -275,13 +276,14 @@ def hitting_time_cdf(gamma: float, t: float, u) -> np.ndarray:
     return out
 
 
-def time_changed_gaussian_density(gamma: float, g0: float, x0: float, t: float, y,
-                                  n_u: int = 2000) -> np.ndarray:
+def time_changed_gaussian_density(gamma: float, g0: float, x0: float, t: float,
+                                  y) -> np.ndarray:
     """Density of the position at horizon t: a Gaussian mixture over the
     first-passage time of the increasing coordinate.
 
-    Quadrature mixture sum_i N(y; x0, g0 u_i) dP_T(u_i); independent of the
-    chain engine and of the subordination quadrature.
+    Quadrature mixture sum_i N(y; x0, g0 u_i) dP_T(u_i) over _MIXTURE_N_U
+    cells in u (read at call time); independent of the chain engine and of
+    the subordination quadrature.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     u_max = 1.0
@@ -289,7 +291,7 @@ def time_changed_gaussian_density(gamma: float, g0: float, x0: float, t: float, 
         u_max *= 2.0
         if u_max > 1e6:
             raise InversionFailure("first-passage CDF did not saturate")
-    edges = np.linspace(0.0, u_max, n_u + 1)
+    edges = np.linspace(0.0, u_max, _MIXTURE_N_U + 1)
     cdf_vals = hitting_time_cdf(gamma, t, edges[1:])
     cdf_lo = np.concatenate([[0.0], cdf_vals[:-1]])
     masses = cdf_vals - cdf_lo

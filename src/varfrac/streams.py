@@ -59,14 +59,11 @@ def lane_keys(seed: int, traj):
 
 def keyed_uniforms(keys, step, channels=(0, 1)):
     """Row c is uniforms(seed, traj, step, channels[c]) for the lanes whose
-    lane_keys(seed, traj) are keys; all channels share one mix."""
+    lane_keys(seed, traj) are keys; all channels share one mix. step is one
+    step for every lane or one per lane, taken as uint64 either way."""
     h = np.array([(int(c) * _C2 + _PHI) & _M64 for c in channels], dtype=np.uint64)
     h = h.reshape((-1,) + (1,) * np.ndim(keys))
-    if np.ndim(step):
-        h = np.asarray(step, dtype=np.uint64) * _C1_U + h
-    else:
-        h += np.uint64(int(step) * _C1 & _M64)  # array arithmetic: silent wraparound
-    h = _mix_arr(h ^ keys)
+    h = _mix_arr((np.asarray(step, dtype=np.uint64) * _C1_U + h) ^ keys)
     return ((h >> _SH11).astype(np.float64) + 0.5) * (2.0**-53)
 
 

@@ -16,22 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctrw import DensityGrid
-from .errors import DomainError, LatticeOverflow, SingularityResolutionError
+from .errors import LatticeOverflow, SingularityResolutionError
 from .model import Diffusion, Model, gamma_at
 from .oracles import ConstantOrderDensity
 from .waiting import DiscretizedWaitingLaw
 
 _MAX_CELLS = 1 << 26  # state-lattice cells the exhaustive recursion may allocate
-
-
-def theta_tail(model: Model, v: float, y, t: float) -> float:
-    """Tail functional of the waiting jump measure at state (v, y):
-    integral of w^(-1-gamma(v,y)) over w >= t - v, i.e.
-    (t - v)^(-gamma) / gamma."""
-    if v >= t:
-        raise DomainError(f"requires v < t, got v={v}, t={t}")
-    gam = float(gamma_at(model, v, y))
-    return (t - v) ** (-gam) / gam
+# Quadrature sizes for an analytic G: v cells, y cells and (odd) Simpson
+# nodes in q = sqrt(u). Read at call time.
+_N_V = 512
+_N_Y = 513
+_N_U = 257
 
 
 @dataclass(frozen=True)
@@ -66,22 +61,21 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def subordinated_expectation(model: Model, G, F, x0, s0, t, n_v: int = 512, n_y: int = 513,
-                             n_u: int = 257) -> SubordinationResult:
+def subordinated_expectation(model: Model, G, F, x0, s0, t) -> SubordinationResult:
     """E[F at the horizon] as the triple quadrature
     int dy int du int_s0^t dv (t-v)^(-gamma(v,y))/gamma(v,y) G(u; y,v) F(y).
 
-    G is either an empirical DensityGrid (its own axes are used; u = 0
-    contributes the exact starting-point term) or an analytic object with
+    The model must be a 1-D diffusion. G is either an empirical DensityGrid
+    (its own axes are used) or an analytic object with
     .y_cell_masses(u, y_edges) and .v_cell_masses(u_vector, v_edges)
-    (quadrature axes built here from the keyword sizes).
+    (quadrature axes built here from _N_V, _N_Y and _N_U).
     """
-    value, band = _time_change(model, G, F, x0, s0, t, *_axes(model, G, x0, s0, t, n_v, n_y, n_u))
+    value, band = _time_change(model, G, F, x0, s0, t,
+                               *_axes(model, G, x0, s0, t, _N_V, _N_Y, _N_U))
     return SubordinationResult(value=float(value), band=float(band))
 
 
-def subordinated_density(model: Model, G, x0, s0, t, n_v: int = 512, n_y: int = 513,
-                         n_u: int = 257):
+def subordinated_density(model: Model, G, x0, s0, t):
     """Density of the walk position at the horizon over the y bins of G (or
     of the quadrature axes for an analytic G).
 
@@ -89,7 +83,7 @@ def subordinated_density(model: Model, G, x0, s0, t, n_v: int = 512, n_y: int = 
     the expectation with F replaced by each bin's indicator over its width;
     the output integrates to 1 within the grid's resolution.
     """
-    axes = _axes(model, G, x0, s0, t, n_v, n_y, n_u)
+    axes = _axes(model, G, x0, s0, t, _N_V, _N_Y, _N_U)
     dens, band = _time_change(model, G, None, x0, s0, t, *axes)
     y_edges = axes[0]
     return 0.5 * (y_edges[:-1] + y_edges[1:]), dens, band
@@ -98,7 +92,11 @@ def subordinated_density(model: Model, G, x0, s0, t, n_v: int = 512, n_y: int = 
 def _axes(model, G, x0, s0, t, n_v, n_y, n_u, u_max=None):
     """(y_edges, v_edges, u_max, n_u) of the quadrature; an empirical grid
     brings its own axes and u nodes. Without u_max (the bridge head passes
-    its first histogram time) the u range is searched for."""
+    its first histogram time) the u range is searched for. Raises
+    ValueError, before any inversion, unless the model is a 1-D diffusion:
+    the y range and the frozen-coefficient head assume one."""
+    if not isinstance(model.spatial, Diffusion) or model.dim != 1:
+        raise ValueError("the time-change quadrature requires a 1-D diffusion model")
     if isinstance(G, DensityGrid):
         if G.v_edges[0] > s0 + 1e-12:
             raise SingularityResolutionError("v grid must start at or below s0")
@@ -107,11 +105,8 @@ def _axes(model, G, x0, s0, t, n_v, n_y, n_u, u_max=None):
         return G.y_edges, G.v_edges, None, None
     if u_max is None:
         u_max = _find_u_max(G, s0, t)
-    sp = model.spatial
-    y_halfwidth = 8.0 * math.sqrt(sp.g_hi * u_max) + 1.0 if isinstance(sp, Diffusion) else 40.0
+    y_halfwidth = 8.0 * math.sqrt(model.spatial.g_hi * u_max) + 1.0
     y_edges = np.linspace(x0 - y_halfwidth, x0 + y_halfwidth, n_y + 1)
-    if n_u % 2 == 0:
-        n_u += 1
     return y_edges, np.linspace(s0, t, n_v + 1), u_max, n_u
 
 
@@ -122,8 +117,7 @@ def _time_change(model, G, F, x0, s0, t, y_edges, v_edges, u_max, n_u):
 
     Returns (value, band). An empirical G gives per-node second moments too,
     and their multinomial spread is propagated to the band; its measured
-    nodes are integrated by the trapezoid rule, starting from the exact
-    u = 0 term, or, for a 1-D diffusion, from the frozen-coefficient
+    nodes are integrated by the trapezoid rule, after the frozen-coefficient
     quadrature of the same integrand over [0, u_1]. An analytic G is
     integrated by Simpson's rule in q = sqrt(u).
     """
@@ -140,38 +134,23 @@ def _time_change(model, G, F, x0, s0, t, y_edges, v_edges, u_max, n_u):
         dy, axis = 1.0, None
 
     if isinstance(G, DensityGrid):
-        if F is None:
-            at_x0 = np.zeros(len(dy))
-            start_bin = np.searchsorted(y_edges, x0, side="right") - 1
-            if not 0 <= start_bin < len(dy):
-                raise ValueError(f"x0 = {x0} lies outside the grid's y range "
-                                 f"[{y_edges[0]}, {y_edges[-1]})")
-            at_x0[start_bin] = 1.0
-        else:
-            at_x0 = float(np.asarray(F(np.atleast_1d(x0)))[0])
-        rows = [theta_tail(model, s0, x0, t) * at_x0 / dy]
-        var = [np.zeros_like(rows[0])]
+        rows, var = [], []
         for mass in G.masses[:, :, keep]:
             first = np.sum(mass * coef, axis=axis)
             second = np.sum(mass * coef * coef, axis=axis)
             rows.append(first / dy)
             var.append(np.maximum(second - first * first, 0.0) / G.n_traj / dy**2)
-        nodes = np.concatenate([[0.0], G.u_values])
-        rows, sig = np.array(rows), np.sqrt(var)
+        # The frozen-coefficient head covers [0, u_1]. Each output keeps its
+        # own head axes: the density the histogram's y bins.
         bridge = frozen_density(model, x0, s0)
-        if bridge is not None:
-            # The frozen-coefficient head replaces the u = 0 row. Each output
-            # keeps its own head axes: the density the histogram's y bins.
-            u1 = float(G.u_values[0])
-            if F is None:
-                head_axes = (y_edges, np.linspace(s0, t, 129), u1, 65)
-            else:
-                head_axes = _axes(model, bridge, x0, s0, t, 256, 257, 129, u_max=u1)
-            head, _ = _time_change(model, bridge, F, x0, s0, t, *head_axes)
-            w = _trapezoid_weights(nodes[1:])
-            return head + w @ rows[1:], w @ sig[1:]
-        w = _trapezoid_weights(nodes)
-        return w @ rows, w @ sig
+        u1 = float(G.u_values[0])
+        if F is None:
+            head_axes = (y_edges, np.linspace(s0, t, 129), u1, 65)
+        else:
+            head_axes = _axes(model, bridge, x0, s0, t, 256, 257, 129, u_max=u1)
+        head, _ = _time_change(model, bridge, F, x0, s0, t, *head_axes)
+        w = _trapezoid_weights(G.u_values)
+        return head + w @ np.array(rows), w @ np.sqrt(var)
 
     # Substitute u = q^2 (the start-point factor behaves like u^(-1/2))
     # and run composite Simpson on the smooth q-integrand.
@@ -191,11 +170,9 @@ def _time_change(model, G, F, x0, s0, t, y_edges, v_edges, u_max, n_u):
 
 
 def frozen_density(model, x0, s0):
-    """Short-time pair density with coefficients frozen at the start state;
-    exact for constant coefficients, first-order accurate otherwise. None
-    unless the spatial part is a 1-D diffusion."""
-    if not isinstance(model.spatial, Diffusion) or model.dim != 1:
-        return None
+    """Short-time pair density of a 1-D diffusion model with coefficients
+    frozen at the start state; exact for constant coefficients, first-order
+    accurate otherwise."""
     x0f = float(np.atleast_1d(x0)[0])
     gam0 = float(gamma_at(model, s0, x0f))
     g0 = float(np.atleast_1d(model.spatial.g(0.0, np.atleast_1d(x0f)))[0])

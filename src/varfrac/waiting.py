@@ -164,7 +164,6 @@ class RateReport:
     errors: np.ndarray
     bound_values: np.ndarray
     fitted_order: float
-    constant: float
 
 
 def _quad(fn, a, b, **kw):
@@ -235,5 +234,4 @@ def check_rate(law: WaitingLaw, alpha: float, f: RateTestFunction, h_values) -> 
         errors=errors,
         bound_values=bounds,
         fitted_order=float(slope),
-        constant=float(C_B),
     )

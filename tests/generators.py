@@ -76,15 +76,22 @@ def limit_generator(model: Model, f, x) -> float:
     def pair(y):
         return f.fn(x0 + y) + f.fn(x0 - y) - 2.0 * f.fn(x0)
 
+    def smooth(y):
+        # pair(y)/y^2 tends to f''(x0), but its rounding grows like 1/y^2;
+        # below 1e-4 it is held at its value there (a Taylor head).
+        y = max(y, 1e-4)
+        return pair(y) / (y * y)
+
+    # On [0, 1] the algebraic weight y^(1-beta) carries the endpoint and the
+    # rule sees the bounded pair(y)/y^2, as waiting._limit_integral does.
     Z = 80.0
-    v1, e1 = integrate.quad(
-        lambda y: pair(y) * y ** (-1.0 - beta), 0.0, Z,
-        limit=800, epsabs=1e-12, epsrel=1e-11, points=[1.0],
-    )
+    kw = dict(limit=800, epsabs=1e-12, epsrel=1e-11)
+    v0, e0 = integrate.quad(smooth, 0.0, 1.0, weight="alg", wvar=(1.0 - beta, 0.0), **kw)
+    v1, e1 = integrate.quad(lambda y: pair(y) * y ** (-1.0 - beta), 1.0, Z, **kw)
     tail = pair(2.0 * Z) * Z ** (-beta) / beta
-    if e1 > 1e-8:
+    if e0 + e1 > 1e-8:
         raise QuadratureFailure("limit generator quadrature did not converge")
-    return m * (v1 + tail)
+    return m * (v0 + v1 + tail)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
+import ast
 import hashlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from varfrac import experiments
 from varfrac.cli import main, read_results
 from varfrac.errors import SchemaMismatch
 from varfrac.experiments import CSV_COLUMNS, PRESETS
@@ -41,6 +45,23 @@ def test_presets_lists_all(capsys):
     for name in ("rate-check", "triangulation", "variable-order",
                  "subordination-identity", "solver-convergence"):
         assert name in out
+
+
+def _evaluated_names():
+    """The experiment names that evaluate_checks compares `experiment` with."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(experiments.evaluate_checks)))
+    return {node.comparators[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+            and node.left.id == "experiment"}
+
+
+def test_every_experiment_table_lists_the_same_names():
+    # A name missing from one table breaks `presets`, `run` or `compare`.
+    names = set(PRESETS)
+    assert set(experiments.RUNNERS) == names
+    assert set(experiments.DESCRIPTIONS) == names
+    assert _evaluated_names() == names
+    assert set(experiments._MODEL_NEEDS) <= names
 
 
 def test_run_writes_artifacts(tmp_path, capsys):

@@ -355,6 +355,23 @@ def _counting_passes(monkeypatch):
     return passes
 
 
+def test_fixed_steps_take_many_steps_per_pass(const_setup, monkeypatch):
+    # 1,000 ids fit one lane vector, so each pass advances 16 steps and the
+    # snapshots are taken inside passes; they must keep single-step bits.
+    model, fam, law = const_setup
+    passes = _counting_passes(monkeypatch)
+    snaps = ctrw.sample_chain_at_steps(0.0, 0.0, 1e-3, [2_000, 777], 1_000, 5, model=model,
+                                       kernel_family=fam, law=law)
+    assert len(passes) < 2_000 // 10
+    for i in (0, 999):
+        state = ChainState(x=np.array([0.0]), s=0.0)
+        stream = TrajectoryStream(seed=5, traj_index=i)
+        for k in range(1, 2_001):
+            state = step_chain(state, 1e-3, model, fam, law, *stream.next_pair())
+            if k in snaps:
+                assert (state.x[0], state.s) == (snaps[k][0][i], snaps[k][1][i])
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_drain_golden_digest(varorder_setup, threads):
     xs, Ts = ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-4, 300, 8, threads=threads,

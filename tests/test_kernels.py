@@ -181,6 +181,18 @@ def test_generator_residual_stable_monotone(stable_model):
     assert res[0] > res[1] > res[2]
 
 
+def test_generator_residual_stable_order_at_beta_1_5():
+    # The Pareto jump misses the jumps below its threshold, so the residual
+    # falls like tau^((2 - beta) / beta): by 2^(-1/3) per halving at 1.5.
+    spatial = {"kind": "stable1d", "beta": 1.5, "m": {"kind": "constant", "value": 0.25},
+               "m_lo": 0.25, "m_hi": 0.25}
+    f = gen.TestFunction(fn=lambda y: np.exp(-(y**2)))
+    xg = np.linspace(-2.0, 2.0, 9)
+    res = [gen.generator_residual(_model(spatial), t, [f], xg) for t in (0.04, 0.02, 0.01, 0.005)]
+    for coarse, fine in zip(res, res[1:]):
+        assert fine / coarse == pytest.approx(2.0 ** (-1.0 / 3.0), abs=0.01)
+
+
 def test_family_matches_anchored_kernel(varorder_model):
     fam = kr.kernel_family(varorder_model)
     atoms, _ = _atoms_at(varorder_model, 0.3)

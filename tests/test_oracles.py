@@ -175,7 +175,7 @@ _GOLDEN = {
 }
 
 
-def _golden_outputs(name):
+def _golden_outputs(name, monkeypatch):
     if name == "subordinator_cdf":
         v = np.concatenate([[-1.0, 0.0, 1e-3], np.linspace(0.05, 30.0, 97), [200.0]])
         return [oracles.subordinator_cdf(g, s, v) for g, s in ((0.6, 1.3), (0.35, 0.2))]
@@ -187,15 +187,16 @@ def _golden_outputs(name):
         return [oracles.hitting_time_cdf(g, 1.0, u) for g in (0.6, 0.3)]
     if name == "mixture_density":
         y = np.linspace(-4.0, 4.0, 41)
-        return [oracles.time_changed_gaussian_density(0.6, 1.0, 0.2, 1.0, y, n_u=300)]
+        monkeypatch.setattr(oracles, "_MIXTURE_N_U", 300)
+        return [oracles.time_changed_gaussian_density(0.6, 1.0, 0.2, 1.0, y)]
     G = oracles.ConstantOrderDensity(gamma=0.6, g0=1.0, x0=0.0, s0=0.1)
     v_edges = np.linspace(0.0, 2.0, 65)
     return [G.v_cell_masses(u, v_edges) for u in (0.05, 0.4, 1.7)]
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
-def test_talbot_golden_digest(name):
-    assert _sha256(*_golden_outputs(name)) == _GOLDEN[name]
+def test_talbot_golden_digest(name, monkeypatch):
+    assert _sha256(*_golden_outputs(name, monkeypatch)) == _GOLDEN[name]
 
 
 def test_vector_u_rows_match_scalar_calls():

@@ -119,7 +119,8 @@ def test_check_rate_constant_and_bound():
     law = waiting.build_waiting_law(0.5, 0.5)
     f = waiting.RateTestFunction(fn=lambda y: y * np.exp(-y), lipschitz=1.0)
     rep = waiting.check_rate(law, 0.5, f, [0.1, 0.05, 0.025, 0.0125])
-    assert rep.constant == pytest.approx(4.0)  # B^(1-a)/(1-a) with empty head
+    # C_B = B^(1-a)/(1-a) = 4 with empty head, and L = 1
+    assert rep.bound_values / rep.h_values ** 0.5 == pytest.approx(np.full(4, 4.0))
     assert np.all(rep.errors <= rep.bound_values)
     assert np.all(np.diff(rep.errors) < 0)
 
