@@ -30,12 +30,11 @@ from .subordination import (
     subordinated_expectation,
 )
 from .waiting import (
-    RateReport,
-    RateTestFunction,
     WaitingLaw,
     build_waiting_law,
-    check_rate,
     discretize_waiting_law,
+    rate_constant,
+    rate_errors,
 )
 
 __version__ = "0.1.0"

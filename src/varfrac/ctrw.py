@@ -188,7 +188,7 @@ def _run_chunk_fixed_steps(model, kern, law, x0, s0, tau, seed, ids, step_counts
                 snaps[c][1][pos] = s[c - first]
         return k == last
 
-    _advance(model, kern, law, x0, s0, tau, seed, ids, ends)
+    _advance(model, kern, law, x0, s0, tau, seed, ids, ends, last)  # no pass runs past last
     return snaps
 
 

@@ -23,6 +23,7 @@ from .errors import (
 )
 
 _VALIDATION_POINTS = 10_000
+VALIDATED_T = 2.0  # the fields are checked for s in [0, VALIDATED_T]
 
 
 def _check_int(name, n, lo):
@@ -103,6 +104,18 @@ class ScalarField:
         if self.kind == "trig":
             return self._coef["freq_t"] == 0.0
         return False
+
+    @property
+    def periodic(self) -> bool:
+        """Period 2 pi in each coordinate of x, as on the solver's cell."""
+        c = self._coef
+        if self.kind == "affine":
+            return not np.any(c["cx"])
+        if self.kind == "trig":
+            return bool(np.all(c["freq_x"] == np.round(c["freq_x"])))
+        if self.kind == "bump":
+            return c["amp"] == 0.0
+        return self.kind == "constant"
 
 
 @dataclass(frozen=True)
@@ -209,22 +222,24 @@ def gamma_at(model: Model, s, x):
 # ---------------------------------------------------------------------------
 
 _MODEL_KEYS = {"alpha", "order_field", "a_lo", "a_hi", "spatial", "dim"}
-_DIFFUSION_KEYS = {"kind", "g", "g_lo", "g_hi", "g_matrix"}
-_STABLE_KEYS = {"kind", "beta", "m", "m_lo", "m_hi"}
+_SPATIAL_KEYS = {
+    "diffusion": {"kind", "g", "g_lo", "g_hi", "g_matrix"},
+    "stable1d": {"kind", "beta", "m", "m_lo", "m_hi"},
+}
 
 
 def _sample_grid(model_dim, n_points):
-    """Cartesian (t, x) sample grid over [0, 2] x [-pi, pi]^d, the solver's
-    periodic cell, with roughly n_points entries."""
+    """Cartesian (t, x) sample grid over [0, VALIDATED_T] x [-pi, pi]^d, the
+    solver's periodic cell, with roughly n_points entries."""
     if model_dim == 1:
         n_side = int(np.sqrt(n_points))
-        ts = np.linspace(0.0, 2.0, n_side)
+        ts = np.linspace(0.0, VALIDATED_T, n_side)
         xs = np.linspace(-np.pi, np.pi, n_side)
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
         return tt.ravel(), xx.ravel()
     n_t = max(4, int(round(n_points ** (1.0 / 3.0))))
     n_side = max(4, int(np.sqrt(n_points // n_t)))
-    ts = np.linspace(0.0, 2.0, n_t)
+    ts = np.linspace(0.0, VALIDATED_T, n_t)
     g0 = np.linspace(-np.pi, np.pi, n_side)
     tt, a0, a1 = np.meshgrid(ts, g0, g0, indexing="ij")
     return tt.ravel(), np.stack([a0.ravel(), a1.ravel()], axis=-1)
@@ -237,8 +252,8 @@ def make_model(config: Mapping) -> Model:
     {1, 2}. Rejects any violation of the declared bounds: the product of
     the upper order bound with alpha must stay below 1, every lower bound
     must be strictly positive, and the coefficient fields are spot-checked
-    on a dense grid against their declared ranges (hard reject, no
-    tolerance).
+    on a dense grid of s in [0, VALIDATED_T] and x in the solver's cell
+    against their declared ranges (hard reject, no tolerance).
     """
     if not isinstance(config, Mapping):
         raise ConfigError("model config must be a mapping")
@@ -251,9 +266,7 @@ def make_model(config: Mapping) -> Model:
 
     for key in ("alpha", "a_lo", "a_hi"):
         _check_number(key, config[key])
-    alpha = float(config["alpha"])
-    a_lo = float(config["a_lo"])
-    a_hi = float(config["a_hi"])
+    alpha, a_lo, a_hi = (float(config[key]) for key in ("alpha", "a_lo", "a_hi"))
     dim = config["dim"]
     _check_number("dim", dim)
     if isinstance(dim, float) or dim not in (1, 2):
@@ -275,55 +288,34 @@ def make_model(config: Mapping) -> Model:
     if not isinstance(spatial_cfg, Mapping) or "kind" not in spatial_cfg:
         raise ConfigError("spatial config must be a mapping with a 'kind' key")
     kind = spatial_cfg["kind"]
-    if kind == "diffusion":
-        unknown = set(spatial_cfg) - _DIFFUSION_KEYS
-        if unknown:
-            raise ConfigError(f"unknown spatial keys {sorted(unknown)}")
-        for key in ("g_lo", "g_hi"):
-            _check_number(key, spatial_cfg[key])
-        g_lo = float(spatial_cfg["g_lo"])
-        g_hi = float(spatial_cfg["g_hi"])
-        if g_lo <= 0.0:
-            raise NonPositiveBound(f"g_lo must be > 0, got {g_lo}")
-        if dim == 1:
-            g = parse_scalar_field(spatial_cfg["g"], dim)
-        else:
-            base = np.asarray(spatial_cfg["g_matrix"], dtype=float)
-            if base.shape != (2, 2) or not np.allclose(base, base.T):
-                raise ConfigError("g_matrix must be a symmetric 2x2 matrix")
-            scale = (
-                parse_scalar_field(spatial_cfg["g"], dim) if "g" in spatial_cfg else None
-            )
-            g = MatrixField(base=base, scale=scale)
-        spatial = Diffusion(g=g, g_lo=g_lo, g_hi=g_hi)
-    elif kind == "stable1d":
-        unknown = set(spatial_cfg) - _STABLE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown spatial keys {sorted(unknown)}")
+    if not isinstance(kind, str) or kind not in _SPATIAL_KEYS:
+        raise ConfigError(f"unknown spatial kind {kind!r}")
+    unknown = set(spatial_cfg) - _SPATIAL_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"unknown spatial keys {sorted(unknown)}")
+    coef = "g" if kind == "diffusion" else "m"
+    for key in (f"{coef}_lo", f"{coef}_hi"):
+        _check_number(key, spatial_cfg[key])
+    lo, hi = float(spatial_cfg[f"{coef}_lo"]), float(spatial_cfg[f"{coef}_hi"])
+    if lo <= 0.0:
+        raise NonPositiveBound(f"{coef}_lo must be > 0, got {lo}")
+    if kind == "stable1d":
         if dim != 1:
             raise DimensionUnsupported(f"stable part requires d=1, got d={dim}")
         _check_number("beta", spatial_cfg["beta"], 0.0, 2.0)
-        for key in ("m_lo", "m_hi"):
-            _check_number(key, spatial_cfg[key])
-        beta = float(spatial_cfg["beta"])
-        m_lo = float(spatial_cfg["m_lo"])
-        m_hi = float(spatial_cfg["m_hi"])
-        if m_lo <= 0.0:
-            raise NonPositiveBound(f"m_lo must be > 0, got {m_lo}")
-        spatial = Stable1D(
-            beta=beta, m=parse_scalar_field(spatial_cfg["m"], dim), m_lo=m_lo, m_hi=m_hi
-        )
+        spatial = Stable1D(beta=float(spatial_cfg["beta"]),
+                           m=parse_scalar_field(spatial_cfg["m"], dim), m_lo=lo, m_hi=hi)
+    elif dim == 1:
+        spatial = Diffusion(g=parse_scalar_field(spatial_cfg["g"], dim), g_lo=lo, g_hi=hi)
     else:
-        raise ConfigError(f"unknown spatial kind {kind!r}")
+        base = np.asarray(spatial_cfg["g_matrix"], dtype=float)
+        if base.shape != (2, 2) or not np.allclose(base, base.T):
+            raise ConfigError("g_matrix must be a symmetric 2x2 matrix")
+        scale = parse_scalar_field(spatial_cfg["g"], dim) if "g" in spatial_cfg else None
+        spatial = Diffusion(g=MatrixField(base=base, scale=scale), g_lo=lo, g_hi=hi)
 
-    model = Model(
-        alpha=alpha,
-        order_field=order_field,
-        a_lo=a_lo,
-        a_hi=a_hi,
-        spatial=spatial,
-        dim=dim,
-    )
+    model = Model(alpha=alpha, order_field=order_field, a_lo=a_lo, a_hi=a_hi,
+                  spatial=spatial, dim=dim)
     _validate_fields(model)
     return model
 
@@ -337,22 +329,13 @@ def _validate_fields(model: Model) -> None:
             f"range [{np.min(a_vals):.6g}, {np.max(a_vals):.6g}]"
         )
     sp = model.spatial
-    if isinstance(sp, Diffusion):
-        if model.dim == 1:
-            g_vals = sp.g(0.0, xs)
-            lo, hi = np.min(g_vals), np.max(g_vals)
-        else:
-            mats = sp.g(xs)
-            eig = np.linalg.eigvalsh(mats)
-            lo, hi = np.min(eig), np.max(eig)
-        if lo < sp.g_lo or hi > sp.g_hi:
-            raise BoundViolation(
-                f"diffusion coefficient leaves [g_lo, g_hi]: range [{lo:.6g}, {hi:.6g}]"
-            )
+    if isinstance(sp, Stable1D):
+        what, coef, lo, hi = "jump intensity", "m", sp.m_lo, sp.m_hi
+        vals = sp.m(0.0, xs)
     else:
-        m_vals = sp.m(0.0, xs)
-        lo, hi = np.min(m_vals), np.max(m_vals)
-        if lo < sp.m_lo or hi > sp.m_hi:
-            raise BoundViolation(
-                f"jump intensity leaves [m_lo, m_hi]: range [{lo:.6g}, {hi:.6g}]"
-            )
+        what, coef, lo, hi = "diffusion coefficient", "g", sp.g_lo, sp.g_hi
+        vals = sp.g(0.0, xs) if model.dim == 1 else np.linalg.eigvalsh(sp.g(xs))
+    v_lo, v_hi = np.min(vals), np.max(vals)
+    if v_lo < lo or v_hi > hi:
+        raise BoundViolation(f"{what} leaves [{coef}_lo, {coef}_hi]: "
+                             f"range [{v_lo:.6g}, {v_hi:.6g}]")

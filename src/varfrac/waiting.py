@@ -8,7 +8,6 @@ closed form, so sampling is a pure function of (gamma, u).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,23 +148,6 @@ def discretize_waiting_law(law: WaitingLaw, gamma: float, n_atoms: int, r_cap: f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RateTestFunction:
-    """Continuous f with f(0) = f(inf) = 0 and |f(y)| <= lipschitz * y near 0."""
-
-    fn: object
-    lipschitz: float
-    support_lo: float = 0.0  # f vanishes below this point (0 = unrestricted)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    h_values: np.ndarray
-    errors: np.ndarray
-    bound_values: np.ndarray
-    fitted_order: float
-
-
 def _quad(fn, a, b, **kw):
     val, err = integrate.quad(fn, a, b, limit=400, epsabs=1e-13, epsrel=1e-12, **kw)
     if err > 1e-10:
@@ -185,53 +167,42 @@ def _limit_integral(f, alpha, support_lo):
         def smooth(y):
             return f(y) / y if y > 0.0 else 0.0
 
-        head, err = integrate.quad(
-            smooth, 0.0, cut, weight="alg", wvar=(-alpha, 0.0), limit=400,
-            epsabs=1e-13, epsrel=1e-12,
-        )
-        if err > 1e-10:
-            raise QuadratureFailure("weighted quadrature near zero did not converge")
+        head = _quad(smooth, 0.0, cut, weight="alg", wvar=(-alpha, 0.0))
         lo = cut
     mid = _quad(lambda y: f(y) * y ** (-1.0 - alpha), lo, max(2.0 * lo, 20.0))
     tail = _quad(lambda y: f(y) * y ** (-1.0 - alpha), max(2.0 * lo, 20.0), np.inf)
     return head + mid + tail
 
 
-def check_rate(law: WaitingLaw, alpha: float, f: RateTestFunction, h_values) -> RateReport:
-    """Measure |h^(-alpha) int f(h y) p(y) dy - int f(y) y^(-1-alpha) dy|
-    against the bound C_B * L * h^(1-alpha) across a ladder of scales.
-
-    Both sides are evaluated by deterministic quadrature, never sampling.
-    The constant is C_B = B^(1-alpha)/(1-alpha) + int_0^B y p(y) dy.
-    """
+def _head_height(law, alpha):
     if abs(law.gamma_lo - alpha) > 1e-12 or abs(law.gamma_hi - alpha) > 1e-12:
         raise ValueError("rate check requires a law with constant exponent equal to alpha")
-    h_values = np.asarray(sorted(h_values, reverse=True), dtype=float)
-    B = law.B
-    eta = float(law.head_height(alpha))
-    C_B = B ** (1.0 - alpha) / (1.0 - alpha) + eta * B * B / 2.0
-    limit_val = _limit_integral(f.fn, alpha, f.support_lo)
+    return float(law.head_height(alpha))
 
+
+def rate_constant(law: WaitingLaw, alpha: float) -> float:
+    """C_B = B^(1-alpha)/(1-alpha) + int_0^B y p(y) dy: the rate bound is
+    C_B h^(1-alpha) for a 1-Lipschitz f."""
+    B = law.B
+    return B ** (1.0 - alpha) / (1.0 - alpha) + _head_height(law, alpha) * B * B / 2.0
+
+
+def rate_errors(law: WaitingLaw, alpha: float, f, h_values, support_lo=0.0) -> np.ndarray:
+    """|h^(-alpha) int f(h y) p(y) dy - int f(y) y^(-1-alpha) dy| at each h.
+
+    f is continuous with f(0) = f(inf) = 0, and vanishes below support_lo
+    (0 = unrestricted). Both sides are evaluated by deterministic
+    quadrature, never sampling.
+    """
+    eta = _head_height(law, alpha)
+    B = law.B
+    limit_val = _limit_integral(f, alpha, support_lo)
+    h_values = np.asarray(h_values, dtype=float)
     errors = np.empty_like(h_values)
     for i, h in enumerate(h_values):
-        head = eta * _quad(lambda y: f.fn(h * y), 0.0, B) if eta > 0.0 else 0.0
-        split = max(B, (f.support_lo / h) if f.support_lo > 0.0 else B)
-        body = _quad(lambda y: f.fn(h * y) * y ** (-1.0 - alpha), B, max(4.0 * split, 50.0 / h))
-        tail = _quad(
-            lambda y: f.fn(h * y) * y ** (-1.0 - alpha), max(4.0 * split, 50.0 / h), np.inf
-        )
-        scaled = h ** (-alpha) * (head + body + tail)
-        errors[i] = abs(scaled - limit_val)
-
-    bounds = C_B * f.lipschitz * h_values ** (1.0 - alpha)
-    positive = errors > 0.0
-    if np.count_nonzero(positive) >= 2:
-        slope = np.polyfit(np.log(h_values[positive]), np.log(errors[positive]), 1)[0]
-    else:
-        slope = math.inf
-    return RateReport(
-        h_values=h_values,
-        errors=errors,
-        bound_values=bounds,
-        fitted_order=float(slope),
-    )
+        head = eta * _quad(lambda y: f(h * y), 0.0, B) if eta > 0.0 else 0.0
+        cut = max(4.0 * max(B, support_lo / h), 50.0 / h)
+        body = _quad(lambda y: f(h * y) * y ** (-1.0 - alpha), B, cut)
+        tail = _quad(lambda y: f(h * y) * y ** (-1.0 - alpha), cut, np.inf)
+        errors[i] = abs(h ** (-alpha) * (head + body + tail) - limit_val)
+    return errors

@@ -299,6 +299,57 @@ def test_model_the_runner_cannot_use_exit_2(tmp_path, capsys, experiment, model,
     assert not (tmp_path / "o").exists()
 
 
+_VARORDER = PRESETS["variable-order"]["model"]
+_TIME_DEPENDENT_ORDER = {**_VARORDER, "order_field": {"kind": "affine", "c0": 1.0, "ct": 0.5},
+                         "a_lo": 1.0, "a_hi": 2.0}
+
+
+# Models that make_model accepts but variable-order cannot run as declared:
+# an order that grows past a_hi after the validated s <= 2, and fields that
+# are not 2 pi periodic, which the chain (on the line) and the solver (on
+# the periodic cell) would read differently. Each stops before any output.
+@pytest.mark.parametrize("model, numerics, message", [
+    (_TIME_DEPENDENT_ORDER, {"t": 2.6}, "t must be at most 2"),
+    ({**_VARORDER, "spatial": {**_DIFFUSION, "g": {"kind": "affine", "c0": 1.0, "cx": 0.3},
+                               "g_lo": 0.05, "g_hi": 1.95}}, {"points": [
+        {"x0": -2.5, "taus": [0.1], "n_traj": [200]}]}, "period 2 pi"),
+    ({**_VARORDER, "order_field": {**_VARORDER["order_field"], "freq_x": 0.5}}, {},
+     "period 2 pi"),
+], ids=["order-past-s-2", "affine-g", "half-frequency-order"])
+def test_model_outside_its_checked_range_exit_2(tmp_path, capsys, model, numerics, message):
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "variable-order",
+                                        "seed": 0, "model": model, "numerics": numerics})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_time_dependent_order_up_to_t_2_runs(tmp_path):
+    numerics = {"t": 2.0, "n_x": 32, "n_s": 64,
+                "points": [{"x0": 0.0, "taus": [0.1], "n_traj": [200]}]}
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, "experiment": "variable-order",
+                                        "seed": 0, "model": _TIME_DEPENDENT_ORDER,
+                                        "numerics": numerics})
+    assert main(["run", str(cfg), "--threads", "1", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_single_rung_ladders_write_results_without_a_plot(tmp_path, capsys):
+    # No point has two rungs, so there is no gap to plot; the run still
+    # writes its results, and they pass compare.
+    points = [{"x0": -math.pi / 2.0, "taus": [0.1], "n_traj": [2000]}]
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, "experiment": "variable-order",
+                                        "seed": 0, "numerics": {"n_x": 32, "n_s": 64,
+                                                                "points": points}})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--threads", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["results.csv"]
+    capsys.readouterr()
+    assert main(["compare", str(out / "results.csv")]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 # The constant-order experiments read g from the model: with g = 2 the
 # closed forms, the histogram lattice and the analytic pair law all follow.
 @pytest.mark.parametrize("experiment, numerics", [

@@ -372,6 +372,24 @@ def test_fixed_steps_take_many_steps_per_pass(const_setup, monkeypatch):
                 assert (state.x[0], state.s) == (snaps[k][0][i], snaps[k][1][i])
 
 
+def test_fixed_steps_draw_no_step_past_the_last(const_setup, monkeypatch):
+    # 700 ids take 23 steps per pass, and 1,000 is no multiple of 23: the
+    # final pass must stop at step 1,000.
+    model, fam, law = const_setup
+    highest = []
+    draw = ctrw.keyed_uniforms
+
+    def recorded(keys, steps, *args):
+        highest.append(int(np.max(steps)))
+        return draw(keys, steps, *args)
+
+    monkeypatch.setattr(ctrw, "keyed_uniforms", recorded)
+    snaps = ctrw.sample_chain_at_steps(0.0, 0.0, 1e-3, [1_000], 700, 5, model=model,
+                                       kernel_family=fam, law=law)
+    assert max(highest) == 1_000
+    assert np.all(np.isfinite(snaps[1_000][1]))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_drain_golden_digest(varorder_setup, threads):
     xs, Ts = ctrw.sample_hitting(2.0, 0.0, 1.0, 1e-4, 300, 8, threads=threads,

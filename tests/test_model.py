@@ -8,7 +8,7 @@ from varfrac.errors import (
     NonPositiveBound,
     OrderBoundViolation,
 )
-from varfrac.model import gamma_at, make_model
+from varfrac.model import gamma_at, make_model, parse_scalar_field
 
 from conftest import CONSTANT_ORDER
 
@@ -139,3 +139,18 @@ def test_matrix_field_eigenvalue_check():
     )
     with pytest.raises(BoundViolation):
         make_model(cfg_bad)
+
+
+@pytest.mark.parametrize("field, dim, periodic", [
+    ({"kind": "constant", "value": 1.0}, 1, True),
+    ({"kind": "affine", "c0": 1.0, "ct": 0.5}, 1, True),
+    ({"kind": "affine", "c0": 1.0, "cx": 0.3}, 1, False),
+    ({"kind": "affine", "c0": 1.0, "cx": [0.0, 0.3]}, 2, False),
+    ({"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 2.0}, 1, True),
+    ({"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 0.5}, 1, False),
+    ({"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": [1.0, 1.5]}, 2, False),
+    ({"kind": "bump", "base": 1.0, "amp": 0.0, "center": 0.0, "width": 1.0}, 1, True),
+    ({"kind": "bump", "base": 1.0, "amp": 0.5, "center": 0.0, "width": 1.0}, 1, False),
+])
+def test_periodic_fields(field, dim, periodic):
+    assert parse_scalar_field(field, dim).periodic is periodic

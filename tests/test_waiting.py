@@ -115,30 +115,37 @@ def test_empirical_tail_matches_survival():
         assert abs(p_emp - p_ana) <= max(3.0 * se, 2.0 / n)
 
 
-def test_check_rate_constant_and_bound():
+def _ramp(y):
+    return y * np.exp(-y)  # 1-Lipschitz
+
+
+_LADDER = np.array([0.1, 0.05, 0.025, 0.0125])
+
+
+def test_rate_constant_and_bound():
     law = waiting.build_waiting_law(0.5, 0.5)
-    f = waiting.RateTestFunction(fn=lambda y: y * np.exp(-y), lipschitz=1.0)
-    rep = waiting.check_rate(law, 0.5, f, [0.1, 0.05, 0.025, 0.0125])
+    errors = waiting.rate_errors(law, 0.5, _ramp, _LADDER)
+    bounds = waiting.rate_constant(law, 0.5) * _LADDER ** 0.5
     # C_B = B^(1-a)/(1-a) = 4 with empty head, and L = 1
-    assert rep.bound_values / rep.h_values ** 0.5 == pytest.approx(np.full(4, 4.0))
-    assert np.all(rep.errors <= rep.bound_values)
-    assert np.all(np.diff(rep.errors) < 0)
+    assert bounds / _LADDER ** 0.5 == pytest.approx(np.full(4, 4.0))
+    assert np.all(errors <= bounds)
+    assert np.all(np.diff(errors) < 0)
 
 
-def test_check_rate_fitted_order_asymptotic():
+def test_rate_errors_fitted_order_asymptotic():
     for alpha in (0.3, 0.5, 0.7):
         law = waiting.build_waiting_law(alpha, alpha)
-        f = waiting.RateTestFunction(fn=lambda y: y * np.exp(-y), lipschitz=1.0)
-        ladder = [h / law.B for h in (0.1, 0.05, 0.025, 0.0125)]
-        rep = waiting.check_rate(law, alpha, f, ladder)
-        assert rep.fitted_order >= (1.0 - alpha) - 0.1
+        ladder = _LADDER / law.B
+        errors = waiting.rate_errors(law, alpha, _ramp, ladder)
+        assert np.polyfit(np.log(ladder), np.log(errors), 1)[0] >= (1.0 - alpha) - 0.1
 
 
-def test_check_rate_requires_matching_exponent():
+def test_rate_check_requires_matching_exponent():
     law = waiting.build_waiting_law(0.5, 0.5)
-    f = waiting.RateTestFunction(fn=lambda y: y * np.exp(-y), lipschitz=1.0)
     with pytest.raises(ValueError):
-        waiting.check_rate(law, 0.4, f, [0.1])
+        waiting.rate_errors(law, 0.4, _ramp, [0.1])
+    with pytest.raises(ValueError):
+        waiting.rate_constant(law, 0.4)
 
 
 def test_discretized_law_shares_the_tail():
