@@ -96,7 +96,6 @@ def cmd_run(args):
         return 2
 
     out_dir = args.out or config.get("output_dir") or "."
-    os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "config": {k: v for k, v in config.items() if k != "output_dir"},
         "versions": _versions(),
@@ -110,6 +109,7 @@ def cmd_run(args):
     except VarfracError as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
+        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -118,6 +118,7 @@ def cmd_run(args):
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 
+    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     _write_results(results_path, result.rows)
     manifest["outputs"].append("results.csv")

@@ -6,23 +6,24 @@ lane carries a trajectory id with its own step count, position and time, and
 takes the next id of its worker's range when its trajectory ends. On the
 fixed-step path every lane starts and ends together, so its lanes move in
 lockstep and share one step count. Step k of trajectory i reads only the
-variates keyed by (seed, i, k), so lane width and thread count (at least 1)
+variates keyed by (seed, i, k), so lane width and worker count (at least 1)
 are free to vary. A lane hashes (seed, i) once when it takes id i; each step
 mixes only (k, channel) into that key. Once no id waits for a lane, a thinned
 vector of L lanes advances _LANES // L steps per pass when the jump law
 ignores position and the order ignores time: positions then follow from the
 jumps alone and times from the positions, so both are running sums over the
 pass, added in step order, and the bits are those of one step per pass. The
-reduction blocks are fixed: F is summed over the same `_CHUNK`-id blocks,
-combined in block order with exact compensated summation, so estimates are
-bit-identical for any thread count.
+reduction is fixed: the caller sums F over the same `_CHUNK`-id blocks and
+combines them in block order with exact compensated summation, so estimates
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import NonFiniteFunctional, StepBudgetExceeded
 from .streams import keyed_uniforms, lane_keys, uniforms  # noqa: F401 (tracers wrap it)
 
 DEFAULT_STEP_CAP = 10**8
-_CHUNK = 4096  # ids per reduction block and per cut between worker ranges
+_CHUNK = 4096  # ids per reduction block of F
 _LANES = 16384  # lane-vector width of one worker
 
 
@@ -192,19 +193,57 @@ def _run_chunk_fixed_steps(model, kern, law, x0, s0, tau, seed, ids, step_counts
     return snaps
 
 
-def _map_ranges(fn, n_traj, threads):
-    """fn(ids) over at most `threads` contiguous id ranges, each cut on a
-    multiple of _CHUNK; results in range order."""
+def _ranges(n_traj, threads):
+    """min(threads, usable CPUs, n_traj) contiguous id ranges of equal size (+-1)."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
-    blocks = -(-n_traj // _CHUNK)
-    parts = max(1, min(threads, blocks))
-    cuts = [min(blocks * w // parts * _CHUNK, n_traj) for w in range(parts + 1)]
-    ranges = [np.arange(lo, hi, dtype=np.uint64) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    if parts == 1:
-        return [fn(ranges[0])]
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        return list(pool.map(fn, ranges))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = max(1, min(threads, cpus or 1, n_traj)) if hasattr(os, "fork") else 1
+    cuts = [n_traj * w // parts for w in range(parts + 1)]
+    return [np.arange(lo, hi, dtype=np.uint64) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _map_ranges(fn, n_traj, threads):
+    """fn(ids) over the ranges of _ranges, in range order. Range 0 runs here,
+    each other one in a process forked for this call; a worker's exception
+    is raised here with its own type, and every worker is reaped on return."""
+    ranges = _ranges(n_traj, threads)
+    pids, pipes = [], []
+    try:
+        for ids in ranges[1:]:
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, ids, pipes, sink)
+            pids.append(pid)
+        results = [fn(ranges[0])]
+        for ok, out in map(pickle.load, pipes):
+            if not ok:
+                raise out
+            results.append(out)
+        return results
+    finally:
+        for fh in pipes:
+            fh.close()  # a worker still writing gets EPIPE and exits
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _work(fn, ids, pipes, sink):
+    """A forked worker: pickle (ok, fn(ids) or its exception) to sink, exit."""
+    try:
+        for fh in pipes:
+            fh.close()
+        try:
+            out = (True, fn(ids))
+        except BaseException as exc:  # the parent raises it
+            out = (False, exc)
+        with sink:
+            pickle.dump(out, sink, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
 
 
 def _hitting(x0, s0, t, tau, n_traj, seed, model, kern, law, threads):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,15 @@ def stable_model():
 @pytest.fixture(scope="session")
 def ones():
     return lambda x: np.ones_like(np.asarray(x, dtype=float))
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a child process unreaped: every chain worker
+    must be waited for before its call returns, also when a range raises."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process unreaped")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from varfrac import experiments
 from varfrac.cli import main, read_results
-from varfrac.errors import SchemaMismatch
+from varfrac.errors import SchemaMismatch, StepBudgetExceeded
 from varfrac.experiments import CSV_COLUMNS, PRESETS
 
 SMALL_TRI = {
@@ -459,6 +459,35 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert exc.value.code == 2
     assert "--threads must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _raising(exc):
+    def runner(config, threads=1):
+        raise exc
+    return runner
+
+
+def test_runner_value_error_exit_2_without_output(tmp_path, capsys, monkeypatch):
+    # A ValueError from the runner is a validation failure: exit 2 comes
+    # before any output, so --out must not be created.
+    monkeypatch.setitem(experiments.RUNNERS, "solver-convergence",
+                        _raising(ValueError("bad grid")))
+    cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "invalid config: bad grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_runner_numerical_failure_exit_3_writes_manifest(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(experiments.RUNNERS, "solver-convergence",
+                        _raising(StepBudgetExceeded("too many steps")))
+    cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: too many steps" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "StepBudgetExceeded: too many steps"
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
 
 
 def test_bad_halved_grid_exit_2(tmp_path, capsys):
