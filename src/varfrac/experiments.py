@@ -357,12 +357,11 @@ def run_triangulation(config, threads=1) -> ExperimentOutput:
                      gamma=gamma, tau=num["mc_tau"]))
 
     G = subordination.frozen_density(model, float(num["x0"]), 0.0)
-    sub_cos = subordination.subordinated_expectation(model, G, np.cos, float(num["x0"]), 0.0, t)
+    sub_cos, sub_one = subordination.subordinated_expectation(
+        model, G, (np.cos, lambda y: np.ones_like(y)), float(num["x0"]), 0.0, t
+    )
     rows.append(_row("triangulation", "subordination_value", sub_cos.value,
                      gamma=gamma, x0=num["x0"]))
-    sub_one = subordination.subordinated_expectation(
-        model, G, lambda y: np.ones_like(y), float(num["x0"]), 0.0, t
-    )
     rows.append(_row("triangulation", "subordination_ones", sub_one.value, gamma=gamma))
 
     svg = svgplot.line_plot(
@@ -476,12 +475,11 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
         0.0, 0.0, tau_d, _DENSITY_U_GRID, y_edges, v_edges, int(num["density_n_traj"]), seed + 13,
         model=model, kernel_family=fam, law=law, threads=threads,
     )
-    r_one = subordination.subordinated_expectation(
-        model, G, lambda y: np.ones_like(y), 0.0, 0.0, t
+    r_one, r_cos = subordination.subordinated_expectation(
+        model, G, (lambda y: np.ones_like(y), np.cos), 0.0, 0.0, t
     )
     rows.append(_row("subordination-identity", "empirical_ones", r_one.value, r_one.band,
                      gamma=gamma, tau=tau_d, n=G.n_traj))
-    r_cos = subordination.subordinated_expectation(model, G, np.cos, 0.0, 0.0, t)
     rows.append(_row("subordination-identity", "empirical_cos", r_cos.value, r_cos.band,
                      gamma=gamma, tau=tau_d, n=G.n_traj))
     amp = oracles.constant_order_solution(gamma, 1.0, t, g)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, ndtr
 
 from .errors import AccuracyLoss, InversionFailure, QuadratureFailure
 
@@ -253,8 +253,6 @@ class ConstantOrderDensity:
     s0: float
 
     def y_cell_masses(self, u: float, y_edges: np.ndarray) -> np.ndarray:
-        from scipy.special import ndtr
-
         sd = math.sqrt(self.g0 * u)
         cdf = ndtr((np.asarray(y_edges, dtype=float) - self.x0) / sd)
         return np.maximum(np.diff(cdf), 0.0)

@@ -61,18 +61,25 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def subordinated_expectation(model: Model, G, F, x0, s0, t) -> SubordinationResult:
-    """E[F at the horizon] as the triple quadrature
+def subordinated_expectation(
+    model: Model, G, Fs, x0, s0, t
+) -> tuple[SubordinationResult, ...]:
+    """E[F at the horizon] for each F of the sequence Fs, as the triple
+    quadrature
     int dy int du int_s0^t dv (t-v)^(-gamma(v,y))/gamma(v,y) G(u; y,v) F(y).
 
     The model must be a 1-D diffusion. G is either an empirical DensityGrid
     (its own axes are used) or an analytic object with
     .y_cell_masses(u, y_edges) and .v_cell_masses(u_vector, v_edges)
-    (quadrature axes built here from _N_V, _N_Y and _N_U).
+    (quadrature axes built here from _N_V, _N_Y and _N_U). G is read once
+    for all of Fs; one result per F, in the order of Fs.
     """
-    value, band = _time_change(model, G, F, x0, s0, t,
-                               *_axes(model, G, x0, s0, t, _N_V, _N_Y, _N_U))
-    return SubordinationResult(value=float(value), band=float(band))
+    Fs = tuple(Fs)
+    if not Fs:
+        raise ValueError("subordinated_expectation needs at least one functional")
+    parts = _time_change(model, G, Fs, x0, s0, t,
+                         *_axes(model, G, x0, s0, t, _N_V, _N_Y, _N_U))
+    return tuple(SubordinationResult(value=float(v), band=float(b)) for v, b in parts)
 
 
 def subordinated_density(model: Model, G, x0, s0, t):
@@ -84,7 +91,7 @@ def subordinated_density(model: Model, G, x0, s0, t):
     the output integrates to 1 within the grid's resolution.
     """
     axes = _axes(model, G, x0, s0, t, _N_V, _N_Y, _N_U)
-    dens, band = _time_change(model, G, None, x0, s0, t, *axes)
+    [(dens, band)] = _time_change(model, G, None, x0, s0, t, *axes)
     y_edges = axes[0]
     return 0.5 * (y_edges[:-1] + y_edges[1:]), dens, band
 
@@ -110,63 +117,72 @@ def _axes(model, G, x0, s0, t, n_v, n_y, n_u, u_max=None):
     return y_edges, np.linspace(s0, t, n_v + 1), u_max, n_u
 
 
-def _time_change(model, G, F, x0, s0, t, y_edges, v_edges, u_max, n_u):
+def _time_change(model, G, Fs, x0, s0, t, y_edges, v_edges, u_max, n_u):
     """Integral over u of the u-integrand: the first moment of the theta
-    weight under the pair law G(u; y, v), weighted over y by F, or with F
-    None by each bin's indicator over its width (one value per y bin).
+    weight under the pair law G(u; y, v), weighted over y by each F of the
+    tuple Fs, or with Fs None by each bin's indicator over its width (one
+    value per y bin).
 
-    Returns (value, band). An empirical G gives per-node second moments too,
-    and their multinomial spread is propagated to the band; its measured
-    nodes are integrated by the trapezoid rule, after the frozen-coefficient
-    quadrature of the same integrand over [0, u_1]. An analytic G is
-    integrated by Simpson's rule in q = sqrt(u).
+    Returns one (value, band) per F, or [(values, bands)] for Fs None; G is
+    read once for all of them. An empirical G gives per-node second moments
+    too, and their multinomial spread is propagated to the band; its
+    measured nodes are integrated by the trapezoid rule, after the
+    frozen-coefficient quadrature of the same integrand over [0, u_1]. An
+    analytic G is integrated by Simpson's rule in q = sqrt(u).
     """
     y_centers = 0.5 * (y_edges[:-1] + y_edges[1:])
-    keep, integrals = _theta_cell_weights(model, t, v_edges, y_centers)
-    # Per-cell coefficient: the mean theta weight over each v cell, with F
-    # folded in before the (y, v) reduction.
-    coef = integrals / np.diff(v_edges)[keep][None, :]
-    if F is None:
-        dy, axis = np.diff(y_edges), -1
+    keep, coef = _theta_cell_weights(model, t, v_edges, y_centers)
+    # Per-cell coefficient: the mean theta weight over each v cell, with each
+    # F folded in before the (y, v) reduction. The division and the last F's
+    # weighting act in place, so one (y, v) matrix is held per output.
+    coef /= np.diff(v_edges)[keep][None, :]
+    if Fs is None:
+        coefs, dy, axis = [coef], np.diff(y_edges), -1
     else:
-        f_y = np.broadcast_to(np.asarray(F(y_centers), dtype=float), y_centers.shape)
-        coef = coef * f_y[:, None]
+        f_ys = [np.broadcast_to(np.asarray(F(y_centers), dtype=float), y_centers.shape)
+                for F in Fs]
+        coefs = [coef * f_y[:, None] for f_y in f_ys[:-1]]
+        coef *= f_ys[-1][:, None]
+        coefs.append(coef)
         dy, axis = 1.0, None
 
     if isinstance(G, DensityGrid):
-        rows, var = [], []
+        rows = [[] for _ in coefs]
+        var = [[] for _ in coefs]
         for mass in G.masses[:, :, keep]:
-            first = np.sum(mass * coef, axis=axis)
-            second = np.sum(mass * coef * coef, axis=axis)
-            rows.append(first / dy)
-            var.append(np.maximum(second - first * first, 0.0) / G.n_traj / dy**2)
+            for c, rows_c, var_c in zip(coefs, rows, var):
+                first = np.sum(mass * c, axis=axis)
+                second = np.sum(mass * c * c, axis=axis)
+                rows_c.append(first / dy)
+                var_c.append(np.maximum(second - first * first, 0.0) / G.n_traj / dy**2)
         # The frozen-coefficient head covers [0, u_1]. Each output keeps its
         # own head axes: the density the histogram's y bins.
         bridge = frozen_density(model, x0, s0)
         u1 = float(G.u_values[0])
-        if F is None:
+        if Fs is None:
             head_axes = (y_edges, np.linspace(s0, t, 129), u1, 65)
         else:
             head_axes = _axes(model, bridge, x0, s0, t, 256, 257, 129, u_max=u1)
-        head, _ = _time_change(model, bridge, F, x0, s0, t, *head_axes)
+        heads = _time_change(model, bridge, Fs, x0, s0, t, *head_axes)
         w = _trapezoid_weights(G.u_values)
-        return head + w @ np.array(rows), w @ np.sqrt(var)
+        return [(head + w @ np.array(rows_c), w @ np.sqrt(var_c))
+                for (head, _), rows_c, var_c in zip(heads, rows, var)]
 
     # Substitute u = q^2 (the start-point factor behaves like u^(-1/2))
-    # and run composite Simpson on the smooth q-integrand.
+    # and run composite Simpson on the smooth q-integrand, one output at a
+    # time so that each keeps the sums of a single-output call.
     q = np.linspace(0.0, math.sqrt(u_max), n_u)
     nodes, jac = q * q, 2.0 * q
     live = nodes > 0.0
-    vals = np.zeros(nodes.shape + np.shape(dy))
+    vals = [np.zeros(nodes.shape + np.shape(dy)) for _ in coefs]
     for i, mv in zip(np.flatnonzero(live), G.v_cell_masses(nodes[live], v_edges)):
         my = G.y_cell_masses(nodes[i], y_edges)
-        vals[i] = (jac[i] * (my / dy)) * (coef @ mv) if F is None else jac[i] * (my @ coef @ mv)
+        for c, val in zip(coefs, vals):
+            val[i] = (jac[i] * (my / dy)) * (c @ mv) if Fs is None else jac[i] * (my @ c @ mv)
     h = q[1] - q[0]
-    value = h / 3.0 * (
-        vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2], axis=0)
-        + 2.0 * np.sum(vals[2:-1:2], axis=0)
-    )
-    return value, np.zeros_like(value)
+    return [(h / 3.0 * (val[0] + val[-1] + 4.0 * np.sum(val[1:-1:2], axis=0)
+                        + 2.0 * np.sum(val[2:-1:2], axis=0)), np.zeros(np.shape(dy)))
+            for val in vals]
 
 
 def frozen_density(model, x0, s0):

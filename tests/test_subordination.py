@@ -27,24 +27,24 @@ def analytic_G():
 
 
 def test_analytic_normalization(const_model, analytic_G, ones):
-    r = subordination.subordinated_expectation(const_model, analytic_G, ones, 0.0, 0.0, 1.0)
+    (r,) = subordination.subordinated_expectation(const_model, analytic_G, (ones,),
+                                                  0.0, 0.0, 1.0)
     assert abs(r.value - 1.0) <= 1e-3
     assert r.band == 0.0
 
 
 def test_analytic_matches_profile_reference(const_model, analytic_G):
-    r = subordination.subordinated_expectation(const_model, analytic_G, np.cos, 0.0, 0.0, 1.0)
+    (r,) = subordination.subordinated_expectation(const_model, analytic_G, (np.cos,),
+                                                  0.0, 0.0, 1.0)
     assert abs(r.value - AMPLITUDE_HALF) <= 1e-2
 
 
 def test_linearity_and_bound(const_model, analytic_G, ones):
-    r1 = subordination.subordinated_expectation(const_model, analytic_G, np.cos, 0.0, 0.0, 1.0)
-    r2 = subordination.subordinated_expectation(const_model, analytic_G, np.sin, 0.0, 0.0, 1.0)
-    combo = subordination.subordinated_expectation(
-        const_model, analytic_G, lambda y: 2.0 * np.cos(y) - 3.0 * np.sin(y), 0.0, 0.0, 1.0
+    r1, r2, combo, norm = subordination.subordinated_expectation(
+        const_model, analytic_G,
+        (np.cos, np.sin, lambda y: 2.0 * np.cos(y) - 3.0 * np.sin(y), ones), 0.0, 0.0, 1.0
     )
     assert combo.value == pytest.approx(2.0 * r1.value - 3.0 * r2.value, abs=1e-10)
-    norm = subordination.subordinated_expectation(const_model, analytic_G, ones, 0.0, 0.0, 1.0)
     assert abs(r1.value) <= 1.0 * norm.value + 1e-12
 
 
@@ -78,13 +78,15 @@ def empirical_G(const_model):
 
 
 def test_empirical_normalization(const_model, empirical_G, ones):
-    r = subordination.subordinated_expectation(const_model, empirical_G, ones, 0.0, 0.0, 1.0)
+    (r,) = subordination.subordinated_expectation(const_model, empirical_G, (ones,),
+                                                  0.0, 0.0, 1.0)
     assert r.band > 0.0
     assert abs(r.value - 1.0) <= 3.0 * r.band + 5e-3
 
 
 def test_empirical_matches_reference(const_model, empirical_G):
-    r = subordination.subordinated_expectation(const_model, empirical_G, np.cos, 0.0, 0.0, 1.0)
+    (r,) = subordination.subordinated_expectation(const_model, empirical_G, (np.cos,),
+                                                  0.0, 0.0, 1.0)
     assert abs(r.value - AMPLITUDE_HALF) <= 3.0 * r.band + 5e-3
 
 
@@ -113,7 +115,7 @@ def test_empirical_grid_must_cover_horizon(const_model, empirical_G):
     )
     with pytest.raises(SingularityResolutionError):
         subordination.subordinated_expectation(
-            const_model, bad, lambda y: np.ones_like(y), 0.0, 0.0, 1.0
+            const_model, bad, (lambda y: np.ones_like(y),), 0.0, 0.0, 1.0
         )
 
 
@@ -136,9 +138,14 @@ def test_quadrature_requires_1d_diffusion(stable_model, source):
         v_edges=np.linspace(0.0, 1.0, 3), masses=np.full((2, 4, 2), 1.0 / 8.0), n_traj=800,
     )
     with pytest.raises(ValueError, match="requires a 1-D diffusion"):
-        subordination.subordinated_expectation(stable_model, G, np.cos, 0.0, 0.0, 1.0)
+        subordination.subordinated_expectation(stable_model, G, (np.cos,), 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="requires a 1-D diffusion"):
         subordination.subordinated_density(stable_model, G, 0.0, 0.0, 1.0)
+
+
+def test_expectation_rejects_no_functional(const_model):
+    with pytest.raises(ValueError, match="at least one functional"):
+        subordination.subordinated_expectation(const_model, _NoInversion(), (), 0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +266,51 @@ def test_quadrature_golden_digest(name, request, analytic_G, small_empirical_G, 
         for size, value in _ANALYTIC_GRID.items():
             monkeypatch.setattr(subordination, size, value)
     if output == "expectation":
-        r = subordination.subordinated_expectation(model, G, np.cos, 0.0, 0.0, 1.0)
+        (r,) = subordination.subordinated_expectation(model, G, (np.cos,), 0.0, 0.0, 1.0)
         arrays = [np.array([r.value, r.band])]
     else:
         arrays = subordination.subordinated_density(model, G, 0.0, 0.0, 1.0)
     assert _sha256(*arrays) == _GOLDEN[name]
+
+
+class _CountingDensity:
+    """ConstantOrderDensity that counts its v_cell_masses calls on a u vector."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vector_calls = 0
+
+    def y_cell_masses(self, u, y_edges):
+        return self.inner.y_cell_masses(u, y_edges)
+
+    def v_cell_masses(self, u, v_edges):
+        self.vector_calls += np.ndim(u) > 0
+        return self.inner.v_cell_masses(u, v_edges)
+
+
+@pytest.mark.parametrize("source", ["analytic", "empirical"])
+def test_several_functionals_match_single_calls(source, const_model, analytic_G,
+                                                small_empirical_G, ones, monkeypatch):
+    # One quadrature over several functionals keeps each one's bits.
+    G = analytic_G if source == "analytic" else small_empirical_G
+    if source == "analytic":
+        for size, value in _ANALYTIC_GRID.items():
+            monkeypatch.setattr(subordination, size, value)
+    Fs = (np.cos, np.sin, ones)
+    together = subordination.subordinated_expectation(const_model, G, Fs, 0.0, 0.0, 1.0)
+    alone = [subordination.subordinated_expectation(const_model, G, (F,), 0.0, 0.0, 1.0)[0]
+             for F in Fs]
+    assert len(together) == len(Fs)
+    for a, b in zip(together, alone):
+        assert (a.value, a.band) == (b.value, b.band)
+
+
+@pytest.mark.parametrize("n_functionals", [1, 3])
+def test_pair_law_inverted_once_per_quadrature(n_functionals, const_model, analytic_G,
+                                               monkeypatch):
+    for size, value in _ANALYTIC_GRID.items():
+        monkeypatch.setattr(subordination, size, value)
+    G = _CountingDensity(analytic_G)
+    Fs = (np.cos, np.sin, np.cos)[:n_functionals]
+    subordination.subordinated_expectation(const_model, G, Fs, 0.0, 0.0, 1.0)
+    assert G.vector_calls == 1
