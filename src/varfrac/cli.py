@@ -17,8 +17,7 @@ import sys
 
 from . import ctrw, solver
 from .errors import ConfigError, SchemaMismatch, VarfracError
-from .experiments import (CSV_COLUMNS, DESCRIPTIONS, PRESETS, RUNNERS, evaluate_checks,
-                          validate_config)
+from .experiments import CSV_COLUMNS, EXPERIMENTS, evaluate_checks, validate_config
 
 
 def _format_cell(v):
@@ -76,10 +75,10 @@ def _versions():
 
 def cmd_run(args):
     if args.preset:
-        config = PRESETS[args.preset] if args.preset in PRESETS else None
-        if config is None:
+        if args.preset not in EXPERIMENTS:
             print(f"unknown preset {args.preset!r}", file=sys.stderr)
             return 2
+        config = EXPERIMENTS[args.preset].preset
     else:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -105,7 +104,7 @@ def cmd_run(args):
         "error": None,
     }
     try:
-        result = RUNNERS[config["experiment"]](config, threads=args.threads)
+        result = EXPERIMENTS[config["experiment"]].run(config, threads=args.threads)
     except VarfracError as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -183,8 +182,8 @@ def cmd_compare(args):
 
 
 def cmd_presets(_args):
-    for name in PRESETS:
-        print(f"{name:24s} {DESCRIPTIONS[name]}")
+    for name, experiment in EXPERIMENTS.items():
+        print(f"{name:24s} {experiment.description}")
     return 0
 
 

@@ -1,14 +1,15 @@
 """Named experiments mirroring the acceptance checklist, and the threshold
 logic used both when running them and when auditing result files.
 
-Each runner returns long-format rows; `evaluate_checks` re-derives every
-pass/fail decision from rows alone, so `compare` can audit a results.csv
-without rerunning anything.
+Each experiment is one `Experiment` record in `EXPERIMENTS`. Its runner
+returns long-format rows; its checks re-derive every pass/fail decision
+from rows alone, so `compare` can audit a results.csv without rerunning.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,76 +49,6 @@ VARIABLE_ORDER_MODEL = {
 _X0_MID = -math.pi + 105 * (2.0 * math.pi / 128.0)  # ~2.0126, high local order
 _X0_LOW = -math.pi / 2.0  # low local order; solution vanishes by symmetry
 
-PRESETS = {
-    "rate-check": {
-        "schema_version": 1,
-        "experiment": "rate-check",
-        "seed": 0,
-        "numerics": {
-            "alphas": [0.3, 0.5, 0.7],
-            "h_values": [0.1, 0.05, 0.025, 0.0125],
-        },
-    },
-    "triangulation": {
-        "schema_version": 1,
-        "experiment": "triangulation",
-        "seed": 20240501,
-        "model": CONSTANT_ORDER_MODEL,
-        "numerics": {
-            "t": 1.0,
-            "n_x": 256,
-            "n_s": 512,
-            "mc_tau": 1e-3,
-            "mc_n_traj": 100000,
-            "x0": 0.0,
-        },
-    },
-    "variable-order": {
-        "schema_version": 1,
-        "experiment": "variable-order",
-        "seed": 20240502,
-        "model": VARIABLE_ORDER_MODEL,
-        "numerics": {
-            "t": 1.0,
-            "n_x": 256,
-            "n_s": 512,
-            "points": [
-                {"x0": 0.0, "taus": [1e-2, 1e-3, 1e-4], "n_traj": [100000, 100000, 20000]},
-                {"x0": _X0_MID, "taus": [1e-2, 1e-3, 1e-4, 3e-5],
-                 "n_traj": [100000, 100000, 20000, 20000]},
-                {"x0": _X0_LOW, "taus": [1e-4], "n_traj": [20000]},
-            ],
-        },
-    },
-    "subordination-identity": {
-        "schema_version": 1,
-        "experiment": "subordination-identity",
-        "seed": 20240503,
-        "model": CONSTANT_ORDER_MODEL,
-        "numerics": {
-            "t": 1.0,
-            "lattice_tau": 0.1,
-            "lattice_atoms": 16,
-            "lattice_n_traj": 100000,
-            "ks_tau": 1e-3,
-            "ks_n_traj": 100000,
-            "ks_u": 1.0,
-            "density_tau": 1e-3,
-            "density_n_traj": 100000,
-        },
-    },
-    "solver-convergence": {
-        "schema_version": 1,
-        "experiment": "solver-convergence",
-        "seed": 0,
-        "model": CONSTANT_ORDER_MODEL,
-        "numerics": {
-            "t": 1.0,
-            "resolutions": [[64, 128], [128, 256], [256, 512]],
-        },
-    },
-}
-
 _TOP_KEYS = {"schema_version", "experiment", "seed", "model", "numerics", "output_dir"}
 
 # Elapsed times of subordination-identity's pair histogram; the first must
@@ -125,6 +56,21 @@ _TOP_KEYS = {"schema_version", "experiment", "seed", "model", "numerics", "outpu
 _DENSITY_U_GRID = np.concatenate([
     np.arange(0.1, 0.5, 0.025), np.arange(0.5, 1.0, 0.05), np.arange(1.0, 2.55, 0.1),
 ])
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One named experiment. `checks(rows, add)` calls add(name, passed,
+    detail) once per verdict; `model_needs` holds (need, holds(model))
+    pairs beyond make_model's checks; `check_numerics(num)` checks the
+    numerics entries that read more than one key."""
+
+    preset: dict
+    run: Callable  # run(config, threads) -> ExperimentOutput
+    checks: Callable
+    description: str  # the line `varfrac presets` prints
+    model_needs: tuple = ()
+    check_numerics: Callable = lambda num: None
 
 
 def validate_config(config) -> dict:
@@ -137,16 +83,19 @@ def validate_config(config) -> dict:
     if type(version) is not int or version != 1:
         raise ConfigError("config schema_version must be 1")
     name = config.get("experiment")
-    if not isinstance(name, str) or name not in PRESETS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; run `varfrac presets` for the list")
     seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    # streams.lane_keys reads a seed modulo 2^64, and the runners add small
+    # offsets to it, so a seed outside [0, 2^63) could alias another.
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**63:
+        raise ConfigError(f"seed must be an integer in [0, 2^63), got {seed!r}")
     if not isinstance(config.get("numerics", {}), dict):
         raise ConfigError(f"numerics must be an object, got {config['numerics']!r}")
     if not isinstance(config.get("output_dir", ""), str):
         raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
-    preset = PRESETS[name]
+    experiment = EXPERIMENTS[name]
+    preset = experiment.preset
     unused = set(config) - set(preset) - {"output_dir"}
     if unused:
         raise ConfigError(f"{name} takes no {sorted(unused)}")
@@ -156,54 +105,20 @@ def validate_config(config) -> dict:
     if unknown:
         raise ConfigError(f"unknown numerics keys {sorted(unknown)} for {name}")
     merged["numerics"] = {**preset["numerics"], **config.get("numerics", {})}
-    _check_numerics(name, merged["numerics"])
+    _check_numerics(merged["numerics"])
+    experiment.check_numerics(merged["numerics"])
     if "model" in merged:
         try:
             model = make_model(merged["model"])
         except (VarfracError, ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"invalid model: {exc}") from exc
-        for need, holds in _MODEL_NEEDS.get(name, ()):
+        for need, holds in experiment.model_needs:
             if not holds(model):
                 raise ConfigError(f"{name} needs {need}")
         if not model.order_field.time_independent and merged["numerics"]["t"] > VALIDATED_T:
             raise ConfigError(f"a time-dependent order field is checked only for s <= "
                               f"{VALIDATED_T:g}, so t must be at most {VALIDATED_T:g}")
     return merged
-
-
-_MIN_INT = {"mc_n_traj": 100, "lattice_n_traj": 100, "ks_n_traj": 100, "density_n_traj": 100,
-            "lattice_atoms": 1}
-_STEP_KEYS = ("t", "mc_tau", "lattice_tau", "ks_tau", "density_tau", "ks_u")
-
-
-def _check_numerics(name, num):
-    """Type and range of every numerics entry, so that a bad value is
-    rejected before any work: trajectory counts are integers >= 100, step
-    sizes finite numbers > 0 (density_tau small enough for the histogram),
-    x0 finite, ladders non-empty lists, and every solver grid,
-    variable-order's halved grid too, has integer n_x >= 3 and n_s >= 16."""
-    for key, lo in _MIN_INT.items():
-        if key in num:
-            _check_int(key, num[key], lo)
-    for key in _STEP_KEYS:
-        if key in num:
-            _check_number(key, num[key], 0.0)
-    if "x0" in num:
-        _check_number("x0", num["x0"])
-    if "ks_u" in num and round(num["ks_u"] / num["ks_tau"]) < 1:
-        raise ConfigError("ks_u / ks_tau must round to at least 1 step")
-    if "density_tau" in num and round(_DENSITY_U_GRID[0] / num["density_tau"]) < 100:
-        raise ConfigError("density_tau must give at least 100 steps at the first histogram "
-                          f"time u = {_DENSITY_U_GRID[0]:g}")
-    for key, check, *bounds in (("alphas", _check_number, 0.0, 1.0),
-                                ("h_values", _check_number, 0.0), ("points", _check_point),
-                                ("resolutions", _check_grid)):
-        if key in num:
-            _check_list(key, num[key], check, *bounds)
-    if "n_x" in num:
-        _check_grid("grid", [num["n_x"], num["n_s"]])
-    if name == "variable-order":
-        _check_grid("halved grid", [num["n_x"] // 2, num["n_s"] // 2])
 
 
 def _check_list(name, values, check, *args):
@@ -218,6 +133,9 @@ def _check_point(name, point):
     """One variable-order point: x0, and a step ladder of equal length."""
     if not isinstance(point, dict):
         raise ConfigError(f"{name} must be an object")
+    unknown = set(point) - {"x0", "taus", "n_traj"}
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {name}")
     _check_number(f"{name}.x0", point.get("x0"))
     _check_list(f"{name}.taus", point.get("taus"), _check_number, 0.0)
     _check_list(f"{name}.n_traj", point.get("n_traj"), _check_int, 100)
@@ -232,13 +150,56 @@ def _check_grid(name, pair):
     _check_int(f"{name} n_s", pair[1], 16)
 
 
+# How each numerics key is checked, in whichever experiment has it:
+# check(key, value, *args). Trajectory counts are integers >= 100, step
+# sizes and spans finite numbers > 0, x0 finite, ladders non-empty lists,
+# and a solver grid has integer n_x >= 3 and n_s >= 16.
+_NUMERICS_RULES = {
+    "t": (_check_number, 0.0), "x0": (_check_number,), "n_x": (_check_int, 3),
+    "n_s": (_check_int, 16), "mc_tau": (_check_number, 0.0), "mc_n_traj": (_check_int, 100),
+    "lattice_tau": (_check_number, 0.0), "lattice_atoms": (_check_int, 1),
+    "lattice_n_traj": (_check_int, 100), "ks_tau": (_check_number, 0.0),
+    "ks_u": (_check_number, 0.0), "ks_n_traj": (_check_int, 100),
+    "density_tau": (_check_number, 0.0), "density_n_traj": (_check_int, 100),
+    "alphas": (_check_list, _check_number, 0.0, 1.0),
+    "h_values": (_check_list, _check_number, 0.0),
+    "points": (_check_list, _check_point), "resolutions": (_check_list, _check_grid),
+}
+
+
+def _check_numerics(num):
+    """Type and range of every numerics entry, so that a bad value is
+    rejected before any work."""
+    for key, (check, *args) in _NUMERICS_RULES.items():
+        if key in num:
+            check(key, num[key], *args)
+
+
+def _step_count(name, span, tau):
+    """round(span / tau); a ratio past the float range is rejected."""
+    try:
+        return round(span / tau)
+    except OverflowError:
+        raise ConfigError(f"{name} is not a finite step count") from None
+
+
+def _check_subordination_steps(num):
+    """ks_u is at least one step of ks_tau, and the first histogram time
+    at least 100 steps of density_tau."""
+    if _step_count("ks_u / ks_tau", num["ks_u"], num["ks_tau"]) < 1:
+        raise ConfigError("ks_u / ks_tau must round to at least 1 step")
+    u0 = float(_DENSITY_U_GRID[0])
+    if _step_count(f"{u0:g} / density_tau", u0, num["density_tau"]) < 100:
+        raise ConfigError("density_tau must give at least 100 steps at the first histogram "
+                          f"time u = {u0:g}")
+
+
 def _row(experiment, quantity, value, uncertainty=None, **params):
     row = {c: None for c in CSV_COLUMNS}
     row.update(experiment=experiment, quantity=quantity, value=float(value))
     if uncertainty is not None:
         row["uncertainty"] = float(uncertainty)
-    for k, v in params.items():
-        row[k] = v
+    row.update(params)
     return row
 
 
@@ -543,23 +504,6 @@ def run_solver_convergence(config, threads=1) -> ExperimentOutput:
     return ExperimentOutput(rows=rows, plots={"solver_convergence.svg": svg}, field=field)
 
 
-RUNNERS = {
-    "rate-check": run_rate_check,
-    "triangulation": run_triangulation,
-    "variable-order": run_variable_order,
-    "subordination-identity": run_subordination_identity,
-    "solver-convergence": run_solver_convergence,
-}
-# One line per experiment for `varfrac presets`; kept out of PRESETS, whose
-# keys are config keys.
-DESCRIPTIONS = {
-    "rate-check": "scaled tail functional error against its analytic bound",
-    "triangulation": "constant-order: solver, sampler, and quadrature vs closed form",
-    "variable-order": "variable-order: solver vs sampler across a step ladder",
-    "subordination-identity": "exhaustive recursion, marginal law, empirical quadrature",
-    "solver-convergence": "grid refinement, conservation, linearity, maximum principle",
-}
-
 # What a runner assumes of its model beyond make_model's checks;
 # validate_config rejects a model without it.
 _CONSTANT_ORDER = ("a constant order (a_lo == a_hi)", lambda m: m.a_lo == m.a_hi)
@@ -572,12 +516,6 @@ _PERIODIC = ("an order field and a spatial coefficient of period 2 pi in x (cons
              "affine with cx = 0, trig with integer freq_x, or bump with amp = 0)",
              lambda m: m.order_field.periodic
              and (m.spatial.g if isinstance(m.spatial, Diffusion) else m.spatial.m).periodic)
-_MODEL_NEEDS = {
-    "variable-order": (("a 1-D model (dim 1)", lambda m: m.dim == 1), _PERIODIC),
-    "triangulation": (_CONSTANT_ORDER, _CONSTANT_G),
-    "subordination-identity": (_CONSTANT_ORDER, _CONSTANT_G),
-    "solver-convergence": (_CONSTANT_ORDER, _CONSTANT_G),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +531,9 @@ class Check:
 
 
 def _select(rows, quantity, **params):
-    out = []
-    for r in rows:
-        if r["quantity"] != quantity:
-            continue
-        if all(r.get(k) is not None and abs(float(r[k]) - float(v)) < 1e-12
-               for k, v in params.items()):
-            out.append(r)
-    return out
+    return [r for r in rows if r["quantity"] == quantity
+            and all(r.get(k) is not None and abs(float(r[k]) - float(v)) < 1e-12
+                    for k, v in params.items())]
 
 
 def _one(rows, quantity, **params):
@@ -610,117 +543,178 @@ def _one(rows, quantity, **params):
     return found[0]
 
 
+def _rate_check_checks(rows, add):
+    alphas = sorted({float(r["alpha"]) for r in rows if r["alpha"] is not None})
+    for a in alphas:
+        errs = sorted(_select(rows, "rate_error", alpha=a), key=lambda r: -float(r["h"]))
+        ok = True
+        for er in errs:
+            br = _one(rows, "rate_bound", alpha=a, h=float(er["h"]))
+            ok &= float(er["value"]) <= float(br["value"]) + 1e-15
+        add(f"rate bound holds (alpha={a})", ok,
+            "every measured error within C_B L h^(1-alpha)")
+        vals = [float(r["value"]) for r in errs]
+        add(f"errors decrease in h (alpha={a})", all(np.diff(vals) < 0),
+            f"errors {['%.3g' % v for v in vals]}")
+        fo = float(_one(rows, "fitted_order", alpha=a)["value"])
+        add(f"fitted order (alpha={a})", fo >= (1.0 - a) - 0.1,
+            f"{fo:.3f} >= {(1.0 - a) - 0.1:.2f} on the B-scaled ladder")
+        for wr in _select(rows, "window_error", alpha=a):
+            add(f"exactness window (alpha={a}, h={float(wr['h']):g})",
+                float(wr["value"]) <= 1e-10, f"error {float(wr['value']):.2e} <= 1e-10")
+
+
+def _triangulation_checks(rows, add):
+    sup = float(_one(rows, "solver_sup_error")["value"])
+    add("solver vs reference profile", sup <= 0.02, f"sup error {sup:.2e} <= 2e-2")
+    mc = _one(rows, "mc_value")
+    oracle = float(_one(rows, "oracle_value_x0")["value"])
+    gap = abs(float(mc["value"]) - oracle)
+    lim = 3.0 * float(mc["uncertainty"])
+    add("walk vs reference", gap <= lim, f"|{float(mc['value']):.5f} - {oracle:.5f}| = "
+        f"{gap:.2e} <= 3 se = {lim:.2e}")
+    sub = float(_one(rows, "subordination_value")["value"])
+    add("time-change quadrature vs reference", abs(sub - oracle) <= 1e-2,
+        f"|{sub:.5f} - {oracle:.5f}| <= 1e-2")
+    cons = float(_one(rows, "solver_conservation_error")["value"])
+    add("solver conservation", cons <= 1e-10, f"max |F-1| = {cons:.2e} <= 1e-10")
+    ones = _one(rows, "mc_ones")
+    add("walk conservation", float(ones["value"]) == 1.0 and float(ones["uncertainty"]) == 0.0,
+        "constant functional estimated exactly")
+    sub1 = float(_one(rows, "subordination_ones")["value"])
+    add("quadrature normalization", abs(sub1 - 1.0) <= 1e-3, f"|{sub1:.6f} - 1| <= 1e-3")
+    margin = float(_one(rows, "max_principle_margin")["value"])
+    add("maximum principle", margin >= -1e-12, f"margin {margin:.2e}")
+
+
+def _variable_order_checks(rows, add):
+    x0s = sorted({float(r["x0"]) for r in _select(rows, "solver_value")})
+    for x0 in x0s:
+        sol = float(_one(rows, "solver_value", x0=x0)["value"])
+        selfconv = float(_one(rows, "solver_selfconv", x0=x0)["value"])
+        mcs = sorted(_select(rows, "mc_value", x0=x0), key=lambda r: -float(r["tau"]))
+        if not mcs:
+            raise KeyError(f"no mc_value row for x0={x0}")
+        gaps = [abs(float(r["value"]) - sol) for r in mcs]
+        if len(gaps) > 1:
+            add(f"gap shrinks along the ladder (x0={x0:.3f})",
+                all(np.diff(gaps) < 0), f"gaps {['%.4f' % g for g in gaps]}")
+        fin = mcs[-1]
+        lim = max(3.0 * float(fin["uncertainty"]), 2.0 * selfconv)
+        add(f"independent routes agree (x0={x0:.3f})", gaps[-1] <= lim,
+            f"final gap {gaps[-1]:.2e} <= max(3 se, 2 selfconv) = {lim:.2e}")
+    margin = float(_one(rows, "max_principle_margin")["value"])
+    add("maximum principle", margin >= -1e-12, f"margin {margin:.2e}")
+
+
+def _subordination_identity_checks(rows, add):
+    lat1 = float(_one(rows, "lattice_ones_error")["value"])
+    add("recursion conserves mass", lat1 <= 1e-12, f"|value-1| = {lat1:.2e}")
+    rem = float(_one(rows, "lattice_remainder")["value"])
+    add("recursion terminates", rem <= 1e-10, f"unabsorbed mass {rem:.2e}")
+    lat = float(_one(rows, "lattice_value")["value"])
+    mc = _one(rows, "mc_discrete_value")
+    gap = abs(lat - float(mc["value"]))
+    lim = 3.0 * float(mc["uncertainty"])
+    add("recursion vs sampling", gap <= lim, f"gap {gap:.2e} <= 3 se = {lim:.2e}")
+    ks = float(_one(rows, "ks_distance")["value"])
+    add("increasing-marginal law", ks <= 0.02, f"KS distance {ks:.4f} <= 0.02")
+    e1 = _one(rows, "empirical_ones")
+    gap1 = abs(float(e1["value"]) - 1.0)
+    add("empirical normalization", gap1 <= 3.0 * float(e1["uncertainty"]),
+        f"|value-1| = {gap1:.2e} <= 3 band = {3.0 * float(e1['uncertainty']):.2e}")
+    ec = _one(rows, "empirical_cos")
+    oracle = float(_one(rows, "oracle_value")["value"])
+    gapc = abs(float(ec["value"]) - oracle)
+    add("empirical quadrature vs reference", gapc <= 3.0 * float(ec["uncertainty"]),
+        f"gap {gapc:.2e} <= 3 band = {3.0 * float(ec['uncertainty']):.2e}")
+    dsup = float(_one(rows, "density_sup_error")["value"])
+    add("position density vs mixture", dsup <= 0.02, f"sup {dsup:.4f} <= 0.02")
+    mass = float(_one(rows, "density_mass")["value"])
+    add("density mass", abs(mass - 1.0) <= 1e-2, f"|mass-1| = {abs(mass - 1.0):.2e}")
+
+
+def _solver_convergence_checks(rows, add):
+    ratios = [float(r["value"]) for r in _select(rows, "refinement_ratio")]
+    add("self-convergence factor", all(r <= 0.6 for r in ratios),
+        f"ratios {['%.3f' % r for r in ratios]} all <= 0.6")
+    errs = sorted(_select(rows, "eigen_sup_error"), key=lambda r: float(r["n"]))
+    vals = [float(r["value"]) for r in errs]
+    add("profile errors decrease", all(np.diff(vals) < 0),
+        f"errors {['%.2e' % v for v in vals]}")
+    cons = float(_one(rows, "conservation_error")["value"])
+    add("conservation", cons <= 1e-10, f"{cons:.2e} <= 1e-10")
+    lin = float(_one(rows, "linearity_error")["value"])
+    add("linearity", lin <= 1e-10, f"{lin:.2e} <= 1e-10")
+    for r in _select(rows, "max_principle_margin"):
+        add(f"maximum principle (n_x={int(float(r['n']))})",
+            float(r["value"]) >= -1e-12, f"margin {float(r['value']):.2e}")
+
+
+EXPERIMENTS = {
+    "rate-check": Experiment(
+        preset={"schema_version": 1, "experiment": "rate-check", "seed": 0,
+                "numerics": {"alphas": [0.3, 0.5, 0.7], "h_values": [0.1, 0.05, 0.025, 0.0125]}},
+        run=run_rate_check, checks=_rate_check_checks,
+        description="scaled tail functional error against its analytic bound"),
+    "triangulation": Experiment(
+        preset={"schema_version": 1, "experiment": "triangulation", "seed": 20240501,
+                "model": CONSTANT_ORDER_MODEL,
+                "numerics": {"t": 1.0, "n_x": 256, "n_s": 512, "mc_tau": 1e-3,
+                             "mc_n_traj": 100000, "x0": 0.0}},
+        run=run_triangulation, checks=_triangulation_checks,
+        description="constant-order: solver, sampler, and quadrature vs closed form",
+        model_needs=(_CONSTANT_ORDER, _CONSTANT_G)),
+    "variable-order": Experiment(
+        preset={"schema_version": 1, "experiment": "variable-order", "seed": 20240502,
+                "model": VARIABLE_ORDER_MODEL,
+                "numerics": {"t": 1.0, "n_x": 256, "n_s": 512, "points": [
+                    {"x0": 0.0, "taus": [1e-2, 1e-3, 1e-4], "n_traj": [100000, 100000, 20000]},
+                    {"x0": _X0_MID, "taus": [1e-2, 1e-3, 1e-4, 3e-5],
+                     "n_traj": [100000, 100000, 20000, 20000]},
+                    {"x0": _X0_LOW, "taus": [1e-4], "n_traj": [20000]},
+                ]}},
+        run=run_variable_order, checks=_variable_order_checks,
+        description="variable-order: solver vs sampler across a step ladder",
+        model_needs=(("a 1-D model (dim 1)", lambda m: m.dim == 1), _PERIODIC),
+        # its self-convergence solve runs on the halved grid
+        check_numerics=lambda num: _check_grid("halved grid",
+                                               [num["n_x"] // 2, num["n_s"] // 2])),
+    "subordination-identity": Experiment(
+        preset={"schema_version": 1, "experiment": "subordination-identity", "seed": 20240503,
+                "model": CONSTANT_ORDER_MODEL,
+                "numerics": {"t": 1.0, "lattice_tau": 0.1, "lattice_atoms": 16,
+                             "lattice_n_traj": 100000, "ks_tau": 1e-3, "ks_n_traj": 100000,
+                             "ks_u": 1.0, "density_tau": 1e-3, "density_n_traj": 100000}},
+        run=run_subordination_identity, checks=_subordination_identity_checks,
+        description="exhaustive recursion, marginal law, empirical quadrature",
+        model_needs=(_CONSTANT_ORDER, _CONSTANT_G),
+        check_numerics=_check_subordination_steps),
+    "solver-convergence": Experiment(
+        preset={"schema_version": 1, "experiment": "solver-convergence", "seed": 0,
+                "model": CONSTANT_ORDER_MODEL,
+                "numerics": {"t": 1.0, "resolutions": [[64, 128], [128, 256], [256, 512]]}},
+        run=run_solver_convergence, checks=_solver_convergence_checks,
+        description="grid refinement, conservation, linearity, maximum principle",
+        model_needs=(_CONSTANT_ORDER, _CONSTANT_G)),
+}
+
+# Name-keyed views of the table for the benchmark (bench/workloads.py) and
+# the acceptance tests, which read them and stay fixed so that runs of
+# different versions compare. No module of the package reads them.
+PRESETS = {name: e.preset for name, e in EXPERIMENTS.items()}
+RUNNERS = {name: e.run for name, e in EXPERIMENTS.items()}
+
+
 def evaluate_checks(experiment, rows) -> list[Check]:
     """Every pass/fail decision, from rows alone. A missing row raises
     KeyError, and an empty cell that a check reads raises TypeError."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
     checks = []
 
     def add(name, passed, detail):
         checks.append(Check(name=name, passed=bool(passed), detail=detail))
 
-    if experiment == "rate-check":
-        alphas = sorted({float(r["alpha"]) for r in rows if r["alpha"] is not None})
-        for a in alphas:
-            errs = sorted(_select(rows, "rate_error", alpha=a), key=lambda r: -float(r["h"]))
-            ok = True
-            for er in errs:
-                br = _one(rows, "rate_bound", alpha=a, h=float(er["h"]))
-                ok &= float(er["value"]) <= float(br["value"]) + 1e-15
-            add(f"rate bound holds (alpha={a})", ok,
-                "every measured error within C_B L h^(1-alpha)")
-            vals = [float(r["value"]) for r in errs]
-            add(f"errors decrease in h (alpha={a})", all(np.diff(vals) < 0),
-                f"errors {['%.3g' % v for v in vals]}")
-            fo = float(_one(rows, "fitted_order", alpha=a)["value"])
-            add(f"fitted order (alpha={a})", fo >= (1.0 - a) - 0.1,
-                f"{fo:.3f} >= {(1.0 - a) - 0.1:.2f} on the B-scaled ladder")
-            for wr in _select(rows, "window_error", alpha=a):
-                add(f"exactness window (alpha={a}, h={float(wr['h']):g})",
-                    float(wr["value"]) <= 1e-10, f"error {float(wr['value']):.2e} <= 1e-10")
-
-    elif experiment == "triangulation":
-        sup = float(_one(rows, "solver_sup_error")["value"])
-        add("solver vs reference profile", sup <= 0.02, f"sup error {sup:.2e} <= 2e-2")
-        mc = _one(rows, "mc_value")
-        oracle = float(_one(rows, "oracle_value_x0")["value"])
-        gap = abs(float(mc["value"]) - oracle)
-        lim = 3.0 * float(mc["uncertainty"])
-        add("walk vs reference", gap <= lim, f"|{float(mc['value']):.5f} - {oracle:.5f}| = "
-            f"{gap:.2e} <= 3 se = {lim:.2e}")
-        sub = float(_one(rows, "subordination_value")["value"])
-        add("time-change quadrature vs reference", abs(sub - oracle) <= 1e-2,
-            f"|{sub:.5f} - {oracle:.5f}| <= 1e-2")
-        cons = float(_one(rows, "solver_conservation_error")["value"])
-        add("solver conservation", cons <= 1e-10, f"max |F-1| = {cons:.2e} <= 1e-10")
-        ones = _one(rows, "mc_ones")
-        add("walk conservation", float(ones["value"]) == 1.0 and float(ones["uncertainty"]) == 0.0,
-            "constant functional estimated exactly")
-        sub1 = float(_one(rows, "subordination_ones")["value"])
-        add("quadrature normalization", abs(sub1 - 1.0) <= 1e-3, f"|{sub1:.6f} - 1| <= 1e-3")
-        margin = float(_one(rows, "max_principle_margin")["value"])
-        add("maximum principle", margin >= -1e-12, f"margin {margin:.2e}")
-
-    elif experiment == "variable-order":
-        x0s = sorted({float(r["x0"]) for r in _select(rows, "solver_value")})
-        for x0 in x0s:
-            sol = float(_one(rows, "solver_value", x0=x0)["value"])
-            selfconv = float(_one(rows, "solver_selfconv", x0=x0)["value"])
-            mcs = sorted(_select(rows, "mc_value", x0=x0), key=lambda r: -float(r["tau"]))
-            if not mcs:
-                raise KeyError(f"no mc_value row for x0={x0}")
-            gaps = [abs(float(r["value"]) - sol) for r in mcs]
-            if len(gaps) > 1:
-                add(f"gap shrinks along the ladder (x0={x0:.3f})",
-                    all(np.diff(gaps) < 0), f"gaps {['%.4f' % g for g in gaps]}")
-            fin = mcs[-1]
-            lim = max(3.0 * float(fin["uncertainty"]), 2.0 * selfconv)
-            add(f"independent routes agree (x0={x0:.3f})", gaps[-1] <= lim,
-                f"final gap {gaps[-1]:.2e} <= max(3 se, 2 selfconv) = {lim:.2e}")
-        margin = float(_one(rows, "max_principle_margin")["value"])
-        add("maximum principle", margin >= -1e-12, f"margin {margin:.2e}")
-
-    elif experiment == "subordination-identity":
-        lat1 = float(_one(rows, "lattice_ones_error")["value"])
-        add("recursion conserves mass", lat1 <= 1e-12, f"|value-1| = {lat1:.2e}")
-        rem = float(_one(rows, "lattice_remainder")["value"])
-        add("recursion terminates", rem <= 1e-10, f"unabsorbed mass {rem:.2e}")
-        lat = float(_one(rows, "lattice_value")["value"])
-        mc = _one(rows, "mc_discrete_value")
-        gap = abs(lat - float(mc["value"]))
-        lim = 3.0 * float(mc["uncertainty"])
-        add("recursion vs sampling", gap <= lim, f"gap {gap:.2e} <= 3 se = {lim:.2e}")
-        ks = float(_one(rows, "ks_distance")["value"])
-        add("increasing-marginal law", ks <= 0.02, f"KS distance {ks:.4f} <= 0.02")
-        e1 = _one(rows, "empirical_ones")
-        gap1 = abs(float(e1["value"]) - 1.0)
-        add("empirical normalization", gap1 <= 3.0 * float(e1["uncertainty"]),
-            f"|value-1| = {gap1:.2e} <= 3 band = {3.0 * float(e1['uncertainty']):.2e}")
-        ec = _one(rows, "empirical_cos")
-        oracle = float(_one(rows, "oracle_value")["value"])
-        gapc = abs(float(ec["value"]) - oracle)
-        add("empirical quadrature vs reference", gapc <= 3.0 * float(ec["uncertainty"]),
-            f"gap {gapc:.2e} <= 3 band = {3.0 * float(ec['uncertainty']):.2e}")
-        dsup = float(_one(rows, "density_sup_error")["value"])
-        add("position density vs mixture", dsup <= 0.02, f"sup {dsup:.4f} <= 0.02")
-        mass = float(_one(rows, "density_mass")["value"])
-        add("density mass", abs(mass - 1.0) <= 1e-2, f"|mass-1| = {abs(mass - 1.0):.2e}")
-
-    elif experiment == "solver-convergence":
-        ratios = [float(r["value"]) for r in _select(rows, "refinement_ratio")]
-        add("self-convergence factor", all(r <= 0.6 for r in ratios),
-            f"ratios {['%.3f' % r for r in ratios]} all <= 0.6")
-        errs = sorted(_select(rows, "eigen_sup_error"), key=lambda r: float(r["n"]))
-        vals = [float(r["value"]) for r in errs]
-        add("profile errors decrease", all(np.diff(vals) < 0),
-            f"errors {['%.2e' % v for v in vals]}")
-        cons = float(_one(rows, "conservation_error")["value"])
-        add("conservation", cons <= 1e-10, f"{cons:.2e} <= 1e-10")
-        lin = float(_one(rows, "linearity_error")["value"])
-        add("linearity", lin <= 1e-10, f"{lin:.2e} <= 1e-10")
-        for r in _select(rows, "max_principle_margin"):
-            add(f"maximum principle (n_x={int(float(r['n']))})",
-                float(r["value"]) >= -1e-12, f"margin {float(r['value']):.2e}")
-
-    else:
-        raise ConfigError(f"unknown experiment {experiment!r}")
+    EXPERIMENTS[experiment].checks(rows, add)
     return checks

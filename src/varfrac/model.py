@@ -8,6 +8,7 @@ sampling at construction time with zero tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -33,8 +34,9 @@ def _check_int(name, n, lo):
 
 def _check_number(name, v, lo=-math.inf, hi=math.inf):
     """v must be a number (not a bool) inside the open interval (lo, hi),
-    so NaN and the infinities never pass."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not lo < v < hi:
+    so NaN, the infinities and an integer past the float range never pass."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float)) or not lo < v < hi
+            or abs(v) > sys.float_info.max):
         raise ConfigError(f"{name} must be a number in ({lo:g}, {hi:g}), got {v!r}")
 
 

@@ -1,13 +1,11 @@
-import ast
+import dataclasses
 import hashlib
-import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
-import textwrap
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +13,7 @@ from hypothesis import strategies as st
 
 from varfrac import experiments
 from varfrac.cli import main, read_results
-from varfrac.errors import SchemaMismatch, StepBudgetExceeded
+from varfrac.errors import ConfigError, SchemaMismatch, StepBudgetExceeded
 from varfrac.experiments import CSV_COLUMNS, PRESETS
 
 SMALL_TRI = {
@@ -39,29 +37,29 @@ def _write(tmp_path, name, obj):
     return p
 
 
+# SHA-256 of the `presets` listing, recorded before the experiments became
+# one table of records.
+_PRESETS_SHA256 = "cdaf46f428e981153e6e792355b4a02036cdb525d7a50d8ae25ebe9666353832"
+
+
 def test_presets_lists_all(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
     for name in ("rate-check", "triangulation", "variable-order",
                  "subordination-identity", "solver-convergence"):
         assert name in out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PRESETS_SHA256
 
 
-def _evaluated_names():
-    """The experiment names that evaluate_checks compares `experiment` with."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(experiments.evaluate_checks)))
-    return {node.comparators[0].value for node in ast.walk(tree)
-            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
-            and node.left.id == "experiment"}
-
-
-def test_every_experiment_table_lists_the_same_names():
-    # A name missing from one table breaks `presets`, `run` or `compare`.
-    names = set(PRESETS)
-    assert set(experiments.RUNNERS) == names
-    assert set(experiments.DESCRIPTIONS) == names
-    assert _evaluated_names() == names
-    assert set(experiments._MODEL_NEEDS) <= names
+def test_one_record_per_experiment():
+    table = experiments.EXPERIMENTS
+    for name, experiment in table.items():
+        assert experiment.preset["experiment"] == name
+        assert set(experiment.preset["numerics"]) <= set(experiments._NUMERICS_RULES)
+    assert PRESETS == {name: e.preset for name, e in table.items()}
+    assert experiments.RUNNERS == {name: e.run for name, e in table.items()}
+    with pytest.raises(ConfigError):
+        experiments.evaluate_checks("nope", [])
 
 
 def test_run_writes_artifacts(tmp_path, capsys):
@@ -99,8 +97,10 @@ def test_dump_flags_golden_digest(tmp_path):
 
 
 # SHA-256 of results.csv for a reduced run of each experiment at seed 3,
-# recorded before the test-only second walk API left the package. Several
-# checks fail at this size; the digest pins the bytes, not the verdicts.
+# recorded before the test-only second walk API left the package, and of the
+# [PASS]/[FAIL] lines that `run` prints for it, recorded before the
+# experiments became one table of records. Several checks fail at this size;
+# the digests pin the bytes and the verdict lines, not a passing verdict.
 _REDUCED_NUMERICS = {
     "rate-check": {"alphas": [0.5], "h_values": [0.1, 0.05]},
     "triangulation": {"n_x": 64, "n_s": 64, "mc_tau": 1e-2, "mc_n_traj": 2_000},
@@ -117,16 +117,27 @@ _RESULTS_SHA256 = {
     "subordination-identity": "587252755a065bb6e99de5e66921239a7d88dea4e64fb10fe4b630d26404073c",
     "solver-convergence": "c63752c9f5f839e1b34b81c89ed1700b04dc30dda1218b4c53f38f6f617ba3a6",
 }
+_VERDICTS_SHA256 = {
+    "rate-check": "2fa533245a3839842a0457db5718a9179126b822146430683166a1adb4d8c0e4",
+    "triangulation": "2c6d32f3c8bb39829ba4882e673411b3b3a7d39ac8f57c0628274e0e095237a5",
+    "variable-order": "5c0c477dfdb26d964b28886350a8cdc4498ae5529ad680f55b5493c6d338be3a",
+    "subordination-identity": "d6185ced716725fa8815a3357aefe93b9c68ca1f6a3093e9a3b7363212b02176",
+    "solver-convergence": "f98823ffd6abdfce51bfa07519fe8392d95085e2703c61c1e9ae06eb38f6e5b0",
+}
 
 
 @pytest.mark.parametrize("experiment", sorted(_RESULTS_SHA256))
-def test_results_golden_digest(tmp_path, experiment):
+def test_results_golden_digest(tmp_path, capsys, experiment):
     cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, "experiment": experiment,
                                         "seed": 3, "numerics": _REDUCED_NUMERICS[experiment]})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--threads", "1", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
     assert digest == _RESULTS_SHA256[experiment]
+    verdicts = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("[PASS]", "[FAIL]"))]
+    assert (hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+            == _VERDICTS_SHA256[experiment])
 
 
 # Wrong types and out-of-range values; none of them makes a run larger than
@@ -400,6 +411,12 @@ def test_bad_solver_grid_exit_2(tmp_path, capsys, numerics, message):
      "same length"),
     ("variable-order", {"points": [{"x0": 0.0, "taus": [0.0], "n_traj": [200]}]},
      "points[0].taus[0] must be"),
+    # values and ratios past the float range, and a key a point does not have
+    ("solver-convergence", {"t": 10**400}, "t must be"),
+    ("subordination-identity", {"ks_u": 1e300, "ks_tau": 1e-10}, "ks_u / ks_tau"),
+    ("subordination-identity", {"density_tau": 1e-320}, "density_tau"),
+    ("variable-order", {"points": [{"x0": 0, "taus": [1e-2], "n_traj": [100], "extra": 1}]},
+     "unknown keys ['extra'] in points[0]"),
 ])
 def test_bad_numerics_exit_2(tmp_path, capsys, experiment, numerics, message):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": experiment,
@@ -432,6 +449,9 @@ def test_runner_value_error_exit_2(tmp_path, capsys):
     ({"seed": True}, "seed must be an integer"),
     ({"experiment": ["triangulation"]}, "unknown experiment"),
     ({"schema_version": True}, "schema_version must be 1"),
+    # streams.lane_keys reads the seed modulo 2^64, so these two would alias
+    ({"seed": -1}, "seed must be an integer in [0, 2^63)"),
+    ({"seed": 2**64 - 1}, "seed must be an integer in [0, 2^63)"),
 ])
 def test_bad_top_level_value_exit_2(tmp_path, monkeypatch, capsys, change, message):
     monkeypatch.chdir(tmp_path)  # no --out: output_dir would be the target
@@ -461,17 +481,19 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert not (tmp_path / "o").exists()
 
 
-def _raising(exc):
+def _raising(monkeypatch, exc):
+    """Make solver-convergence's runner raise exc."""
     def runner(config, threads=1):
         raise exc
-    return runner
+    record = experiments.EXPERIMENTS["solver-convergence"]
+    monkeypatch.setitem(experiments.EXPERIMENTS, "solver-convergence",
+                        dataclasses.replace(record, run=runner))
 
 
 def test_runner_value_error_exit_2_without_output(tmp_path, capsys, monkeypatch):
     # A ValueError from the runner is a validation failure: exit 2 comes
     # before any output, so --out must not be created.
-    monkeypatch.setitem(experiments.RUNNERS, "solver-convergence",
-                        _raising(ValueError("bad grid")))
+    _raising(monkeypatch, ValueError("bad grid"))
     cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "invalid config: bad grid" in capsys.readouterr().err
@@ -479,8 +501,7 @@ def test_runner_value_error_exit_2_without_output(tmp_path, capsys, monkeypatch)
 
 
 def test_runner_numerical_failure_exit_3_writes_manifest(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(experiments.RUNNERS, "solver-convergence",
-                        _raising(StepBudgetExceeded("too many steps")))
+    _raising(monkeypatch, StepBudgetExceeded("too many steps"))
     cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure: too many steps" in capsys.readouterr().err
