@@ -4,7 +4,9 @@ The memory integral int_0^(t-s) (g(s+r) - g(s)) r^(-1-gamma) dr is
 discretized by product integration: g is piecewise linear on the time grid
 and the singular kernel is integrated in closed form against it, so the
 discrete operator is exact for linear g. The boundary term
-(g(t) - g(s)) (t-s)^(-gamma) / gamma is kept analytically. Marching runs
+(g(t) - g(s)) (t-s)^(-gamma) / gamma is kept analytically. The same hat
+moments build the stable1d jump operator: D(y)/y^2 is piecewise linear in the
+jump y and integrated against y^(1-beta), second order in dx. Marching runs
 backward from the terminal slice and solves one linear system per step; the
 system matrix is an M-matrix, which gives conservation and the maximum
 principle exactly.
@@ -54,20 +56,27 @@ class Field:
     values: np.ndarray  # (n_s + 1, n_x)
 
 
-def _cell_moments(gamma, m_idx, ds):
-    """A_m = int over cell m of r^(-1-gamma), B_m = same against the local
-    linear ramp (r - m ds)/ds; closed forms for a scalar gamma."""
-    gamma = np.asarray(gamma, dtype=float)
-    m = np.asarray(m_idx, dtype=float)
-    lo = m * ds
-    hi = (m + 1.0) * ds
-    A = (lo ** (-gamma) - hi ** (-gamma)) / gamma
-    if gamma == 1.0:  # int over the cell of r^(-1) is log(hi / lo)
-        mom1 = np.log1p(1.0 / m)
-    else:
-        mom1 = (hi ** (1.0 - gamma) - lo ** (1.0 - gamma)) / (1.0 - gamma)
-    B = mom1 / ds - m * A
-    return A, B
+def _hat_moments(q, n: int, h: float):
+    """Moments of r^(q-1) for product integration on the nodes k h, k = 1..n.
+
+    Returns A (cells 1..n-1), the integral of r^(q-1) over cell k, that is
+    [k h, (k+1) h]; B (cells 0..n-1), the same against the ramp
+    (r - k h)/h, cell 0 included as long as r^q is integrable at 0; and
+    P (nodes 1..n), the antiderivative (k h)^q / q. A and B are differences
+    of node values, so each node takes one power. The hat on node k has the
+    moment B_(k-1) + A_k - B_k, which is B[:-1] + A - B[1:] in array terms.
+    q is a scalar or a row of exponents, one per column.
+    """
+    k = np.arange(1, n + 1, dtype=float)[:, None]
+    P = (k * h) ** q
+    R = k * P / (q + 1.0)  # (k h)^(q+1) / ((q+1) h)
+    P /= q
+    A = P[1:] - P[:-1]
+    B = np.empty_like(P)
+    B[0] = R[0]
+    np.subtract(R[1:], R[:-1], out=B[1:])
+    B[1:] -= k[:-1] * A
+    return A, B, P
 
 
 def _weight_tables(gamma, n: int, ds: float):
@@ -77,22 +86,11 @@ def _weight_tables(gamma, n: int, ds: float):
     last one, T[m-1] multiplies it when it is, and bnd[m-1] = (m ds)^(-gamma)
     / gamma is the boundary coefficient.
 
-    Cell m spans [m ds, (m+1) ds]. Its moments A (of r^(-1-gamma)) and B
-    (against the ramp (r - m ds)/ds) are differences of node values, so each
-    node k ds takes one power, shared by the two cells that meet there.
-    Cell 0 contributes only through the ramp, its integrable singularity
-    integrated analytically: ds^(-gamma)/(1-gamma).
+    These are the hat moments of r^(-1-gamma); the singular cell 0 enters
+    only through its ramp, integrated analytically: ds^(-gamma)/(1-gamma).
     """
-    gam = np.asarray(gamma, dtype=float)[None, :]
-    k = np.arange(1, n + 1, dtype=float)[:, None]
-    bnd = (k * ds) ** (-gam)
-    r = k * bnd / (1.0 - gam)  # (k ds)^(1-gamma) / ((1-gamma) ds)
-    bnd /= gam
-    A = bnd[:-1] - bnd[1:]
-    T = np.empty((n, gam.shape[1]))
-    T[0] = r[0]
-    T[1:] = r[1:] - r[:-1] - k[:-1] * A  # B of cells 1..n-1
-    return T[:-1] + A - T[1:], T, bnd
+    A, T, P = _hat_moments(-np.asarray(gamma, dtype=float)[None, :], n, ds)
+    return T[:-1] + A - T[1:], T, np.negative(P, out=P)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +103,14 @@ def build_spatial_operator(model: Model, grid: Grid) -> np.ndarray:
     off-diagonal entries.
 
     Second-order part: central differences scaled by g(x)/2. Jump part of
-    index beta: product integration of the symmetrized difference against
-    the density m(x) y^(-1-beta), with a quadratic model on the singular
-    first cell, lattice summation over repeated periods, and the remaining
-    tail mass attached to the grid average.
+    index beta: the integral of D(y) = f(x+y) + f(x-y) - 2 f(x) against the
+    density m(x) y^(-1-beta) is written as that of D(y)/y^2 against
+    y^(1-beta). D/y^2 is smooth and tends to f''(x), so it is interpolated by
+    the hats on the nodes m dx and integrated by the same product
+    integration as the time weights, second order in dx. On the first cell
+    it is held at its node-1 value. The nodes are summed over repeated
+    periods, and the tail mass past the last one is attached to the grid
+    average.
     """
     n = grid.n_x
     dx = grid.dx
@@ -129,28 +131,23 @@ def build_spatial_operator(model: Model, grid: Grid) -> np.ndarray:
     m_vals = np.asarray(model.spatial.m(0.0, x), dtype=float)
     # Enough repeated periods that the post-truncation oscillatory residue
     # (the mean part is reattached below) is negligible for trend checks.
-    periods = 256
-    M_y = periods * n
-    # Node weights for the one-sided integral; the pair (i+m, i-m) shares W_m.
-    W = np.zeros(M_y + 1)
-    w0 = dx ** (-beta) / (2.0 - beta)  # quadratic first cell
-    m_idx = np.arange(1, M_y)
-    A, B = _cell_moments(beta, m_idx, dx)
-    W[1] = w0 + A[0] - B[0]
-    W[2:M_y] = B[:-1][: M_y - 2] + A[1:] - B[1:]
-    W[M_y] = B[-1]
+    M_y = 256 * n
+    k = np.arange(1, M_y + 1)
+    # Node weights of the one-sided integral; the pair (i+m, i-m) shares W[m-1].
+    A, B, P = _hat_moments(2.0 - beta, M_y, dx)
+    W = np.append(B[:-1] + A - B[1:], B[-1])  # the last node keeps its rising half
+    W[0] += P[0, 0] - B[0, 0]  # D/y^2 held at its node-1 value on the first cell
+    W /= (k * dx) ** 2
     # Fold onto the periodic grid.
-    folded = np.bincount(np.arange(1, M_y + 1) % n, weights=W[1:], minlength=n)
+    folded = np.bincount(k % n, weights=W, minlength=n)
     # Offset -j lands on column -c where +j lands on c: the same terms,
     # summed in the same order.
     base = folded + folded[(-idx) % n]  # total weight reaching column (i + c) mod n
-    total = np.sum(W[1:]) * 2.0
-    base[0] -= total  # subtract 2 f(x) sum W
-    # Tail beyond the truncation: attach to the grid mean.
-    R = (M_y * dx + dx) ** (-beta) / beta
-    tail_row = np.full(n, 2.0 * R / n)
-    tail_row[0] -= 2.0 * R
-    base = base + tail_row
+    base[0] -= np.sum(W) * 2.0  # subtract 2 f(x) sum W
+    # Tail beyond the last hat, from M_y dx on: attach to the grid mean.
+    R = (M_y * dx) ** (-beta) / beta
+    base += 2.0 * R / n
+    base[0] -= 2.0 * R
     return m_vals[:, None] * base[(idx[None, :] - idx[:, None]) % n]
 
 

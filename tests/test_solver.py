@@ -22,12 +22,52 @@ def _weights(gamma, M, ds):
     return np.append(W[:, 0], T[-1, 0]), float(bnd[-1, 0])
 
 
+def _stable(beta):
+    spec = copy.deepcopy(STABLE_HALF)
+    spec["spatial"]["beta"] = beta
+    return spec
+
+
+def _c_beta(beta):
+    """The jump operator maps cos(kx) to -m c_beta |k|^beta cos(kx)."""
+    return math.pi / (math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0))
+
+
 def _right_derivative(gamma, ds, g, j=0):
     """Discrete nonlocal derivative at slice j from g[j], ..., g[-1] (the last
     entry is the terminal value): -sum_m w_m (g[j+m] - g[j]) - (g[-1] - g[j]) bnd."""
     seg = np.asarray(g[j:], dtype=float)
     w, bnd = _weights(gamma, len(seg) - 1, ds)
     return -float(np.dot(w, seg[1:] - seg[0])) - (seg[-1] - seg[0]) * bnd
+
+
+def test_hat_weights_against_mpmath():
+    # The one builder's node weights for k < 1024, time's W at q = -gamma and
+    # the jump operator's hat weights at q = 2 - beta, against 40 digits: the
+    # hat integral of r^(q-1) is h^q (G(k+1) - 2 G(k) + G(k-1)) with
+    # G(u) = u^(q+1) / (q (q+1)), itself checked by quadrature of the hat.
+    mpmath = pytest.importorskip("mpmath")
+    h, n = 0.01, 1024
+    cases = [(-gam, solver._weight_tables([gam], n, h)[0][:, 0]) for gam in (0.21, 0.9)]
+    for beta in (0.5, 1.5, 1.9):
+        A, B, _ = solver._hat_moments(2.0 - beta, n, h)
+        cases.append((2.0 - beta, (B[:-1] + A - B[1:])[:, 0]))
+    with mpmath.workdps(40):
+        hm = mpmath.mpf(h)
+        for q, w in cases:
+            qm = mpmath.mpf(q)
+            G = [mpmath.mpf(u) ** (qm + 1) / (qm * (qm + 1)) for u in range(n + 1)]
+            ref = [hm**qm * (G[k + 1] - 2 * G[k] + G[k - 1]) for k in range(1, n)]
+            for k in (1, 2, 37, n - 1):
+                # the rising half in r = (k - 1 + u^10) h, which smooths the
+                # singularity of r^(q-1) at 0 on the first cell
+                rise = mpmath.quad(lambda u: u**10 * ((k - 1 + u**10) * hm) ** (qm - 1)
+                                   * 10 * u**9 * hm, [0, 1])
+                fall = mpmath.quad(lambda r: ((k + 1) * hm - r) / hm * r ** (qm - 1),
+                                   [k * hm, (k + 1) * hm])
+                assert abs((rise + fall) / ref[k - 1] - 1) < 1e-25
+            rel = max(abs(float(w[k - 1] / ref[k - 1]) - 1.0) for k in range(1, n))
+            assert rel <= 1e-8
 
 
 def test_weights_nonnegative_and_exact_for_linear():
@@ -90,22 +130,20 @@ def test_spatial_operator_rows_and_symbol(const_model):
     assert np.max(np.abs(L @ mode - lam * mode)) < 1e-10
 
 
-def test_spatial_operator_stable_symbol_trend(stable_model):
-    # cos-mode eigenvalue approaches -c |k|^beta under refinement
-    beta, mval, k = 0.5, 0.25, 2
-    target = -mval * 2.0 * (k**beta) * (
-        math.pi / (2.0 * math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0))
-    )
-    errs = []
-    for n in (64, 128, 256):
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 1.9])
+def test_spatial_operator_stable_symbol_trend(beta):
+    # the error on cos(kx), k = 1..4, against the symbol falls like dx^2
+    model, ns, errs = make_model(_stable(beta)), (64, 128, 256, 512), []
+    for n in ns:
         grid = solver.Grid(n_x=n, n_s=16, t=1.0)
-        L = solver.build_spatial_operator(stable_model, grid)
-        mode = np.cos(k * grid.x)
-        lam = float((L @ mode)[0] / mode[0])
-        errs.append(abs(lam - target))
+        L = solver.build_spatial_operator(model, grid)
         assert np.max(np.abs(L.sum(axis=1))) < 1e-8
-    assert errs[-1] < errs[0]
-    assert errs[-1] < 0.02 * abs(target)
+        err = 0.0
+        for k in (1, 2, 3, 4):
+            mode = np.cos(k * grid.x)
+            err = max(err, np.max(np.abs(L @ mode + 0.25 * _c_beta(beta) * k**beta * mode)))
+        errs.append(err)
+    assert -np.polyfit(np.log(ns), np.log(errs), 1)[0] >= 1.8
 
 
 def test_conservation(const_model):
@@ -139,12 +177,18 @@ def test_eigenfunction_accuracy(const_model):
     assert np.max(np.abs(out.values[0] - amp * np.cos(grid.x))) <= 0.02
 
 
-def test_self_convergence_factor(const_model):
-    amp = oracles.constant_order_solution(0.5, 1.0, 1.0, 1.0)
+# A diffusion g/2 maps cos(kx) to -(g k^2 / 2) cos(kx); m = 0.25 stable jumps
+# to -m c_beta |k|^beta cos(kx), the same mode at k = 1 with c = 2 m c_beta.
+@pytest.mark.parametrize("spec, c", [(CONSTANT_ORDER, 1.0)]
+                         + [(_stable(b), 2.0 * 0.25 * _c_beta(b)) for b in (0.5, 1.0, 1.5, 1.9)],
+                         ids=["constant", "stable-0.5", "stable-1.0", "stable-1.5", "stable-1.9"])
+def test_self_convergence_factor(spec, c):
+    model = make_model(spec)
+    amp = oracles.constant_order_solution(0.5, 1.0, 1.0, c)
     errs = []
     for n_x, n_s in ((64, 128), (128, 256), (256, 512)):
         grid = solver.Grid(n_x=n_x, n_s=n_s, t=1.0)
-        out = solver.solve_terminal_problem(const_model, np.cos, 1.0, grid)
+        out = solver.solve_terminal_problem(model, np.cos, 1.0, grid)
         errs.append(np.max(np.abs(out.values[0] - amp * np.cos(grid.x))))
     assert errs[1] / errs[0] <= 0.6
     assert errs[2] / errs[1] <= 0.6
@@ -188,12 +232,13 @@ def test_grid_needs_three_points(const_model):
 
 # Golden digests of the marched field on a small grid, one per path through
 # the march: constant and position-dependent order (one weight table),
-# time-dependent order (tables per slice), and the dense stable operator.
+# time-dependent order (tables per slice), and the dense stable operator,
+# built from the hat moments of D(y)/y^2 against y^(1-beta).
 _FIELD_SHA256 = {
     "constant": "2d783b4887e98b3076e8cf55a2be1a97768696445f3b1995e0a9d85b9dbda7bb",
     "variable": "eaeb8b4ffeb705f5e17a9ab435fedee2d1f4cb72af9af6f9305d4bda391128e9",
     "time-dependent": "fbdaa3eb6490562e8696cd024bc0de2fd687e8ca77962371afef8f39f1a7241b",
-    "stable": "746158a389544ebefdb95beea5749a8ef040f84cf5438ce69706fb7caad26449",
+    "stable": "df149ac99620185bb4b23d24dfe23d1af107f58c2d762d3eb79d1f2dc694e700",
 }
 
 
@@ -252,10 +297,8 @@ def test_export_csv(tmp_path, const_model):
 
 
 def test_stable_operator_at_beta_one():
-    # Cauchy jumps: the cell moment of r^(-beta) is a logarithm at beta = 1
-    spec = copy.deepcopy(STABLE_HALF)
-    spec["spatial"]["beta"] = 1.0
-    model = make_model(spec)
+    # Cauchy jumps: the hat moments are of y^0 and y^1, no special case
+    model = make_model(_stable(1.0))
     grid = solver.Grid(n_x=48, n_s=32, t=1.0)
     L = solver.build_spatial_operator(model, grid)
     assert np.all(np.isfinite(L))
