@@ -4,7 +4,8 @@
 versions; rerunning from the manifest reproduces the CSV byte for byte),
 and SVG quick-look plots. `compare` re-derives every pass/fail decision
 from the CSV alone. Exit codes: 0 success, 1 threshold failure (compare),
-2 validation failure, 3 numerical failure.
+2 validation failure (an --out that cannot be a directory, or outputs that
+cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ def cmd_run(args):
         return 2
 
     out_dir = args.out or config.get("output_dir") or "."
+    blocker = _non_directory_on(out_dir)
+    if blocker is not None:
+        print(f"invalid output directory {out_dir}: {blocker} is not a directory",
+              file=sys.stderr)
+        return 2
     manifest = {
         "config": {k: v for k, v in config.items() if k != "output_dir"},
         "versions": _versions(),
@@ -108,44 +114,64 @@ def cmd_run(args):
     except VarfracError as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        result = None
     except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(out_dir, exist_ok=True)
-    results_path = os.path.join(out_dir, "results.csv")
-    _write_results(results_path, result.rows)
-    manifest["outputs"].append("results.csv")
-    for name, svg in result.plots.items():
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        manifest["outputs"].append(name)
-    if args.dump_trajectories:
-        if result.chain is None:
-            print("trajectory dump: experiment has no chain run; skipped", file=sys.stderr)
-        else:
-            ctrw.dump_trajectories(os.path.join(out_dir, "trajectories.csv"),
-                                   n_traj=args.dump_trajectories, **result.chain)
-            manifest["outputs"].append("trajectories.csv")
-    if args.dump_field:
-        if result.field is None:
-            print("field dump: experiment has no grid solve; skipped", file=sys.stderr)
-        else:
-            solver.export_csv(result.field, os.path.join(out_dir, "field.csv"))
-            manifest["outputs"].append("field.csv")
-    checks = evaluate_checks(config["experiment"], result.rows)
-    manifest["checks"] = {c.name: bool(c.passed) for c in checks}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    try:
+        checks = _write_outputs(args, out_dir, manifest, result)
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 2
+    if result is None:
+        return 3
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {config['experiment']}: {c.name} ({c.detail})")
-    print(f"wrote {results_path}")
+    print(f"wrote {os.path.join(out_dir, 'results.csv')}")
     return 0
+
+
+def _non_directory_on(out_dir):
+    """The nearest existing path at or above out_dir when it is not a
+    directory, so that out_dir cannot be made one; else None."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return None if os.path.isdir(path) else path
+
+
+def _write_outputs(args, out_dir, manifest, result):
+    """Write a run's files into out_dir, manifest.json last, and return its
+    checks. A failed run (result None) writes the manifest alone."""
+    os.makedirs(out_dir, exist_ok=True)
+    checks = []
+    if result is not None:
+        _write_results(os.path.join(out_dir, "results.csv"), result.rows)
+        manifest["outputs"].append("results.csv")
+        for name, svg in result.plots.items():
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(svg)
+            manifest["outputs"].append(name)
+        if args.dump_trajectories:
+            if result.chain is None:
+                print("trajectory dump: experiment has no chain run; skipped", file=sys.stderr)
+            else:
+                ctrw.dump_trajectories(os.path.join(out_dir, "trajectories.csv"),
+                                       n_traj=args.dump_trajectories, **result.chain)
+                manifest["outputs"].append("trajectories.csv")
+        if args.dump_field:
+            if result.field is None:
+                print("field dump: experiment has no grid solve; skipped", file=sys.stderr)
+            else:
+                solver.export_csv(result.field, os.path.join(out_dir, "field.csv"))
+                manifest["outputs"].append("field.csv")
+        checks = evaluate_checks(manifest["config"]["experiment"], result.rows)
+        manifest["checks"] = {c.name: bool(c.passed) for c in checks}
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return checks
 
 
 def cmd_compare(args):

@@ -72,4 +72,4 @@ class AccuracyLoss(VarfracError):
 
 class NonFiniteFunctional(VarfracError):
     """A Monte Carlo functional evaluated to NaN or infinity on some
-    trajectory."""
+    trajectory, or a result row's value or uncertainty is not finite."""

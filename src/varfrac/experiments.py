@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctrw, oracles, solver, subordination, svgplot, waiting
-from .errors import ConfigError, VarfracError
+from .errors import ConfigError, NonFiniteFunctional, VarfracError
 from .kernels import kernel_family
 from .model import VALIDATED_T, Diffusion, _check_int, _check_number, make_model
 
@@ -194,11 +194,22 @@ def _check_subordination_steps(num):
                           f"time u = {u0:g}")
 
 
+def _check_h_ladder(num):
+    """The fitted orders need a slope, so at least two distinct h."""
+    if len(set(num["h_values"])) < 2:
+        raise ConfigError("h_values must hold at least two distinct values")
+
+
 def _row(experiment, quantity, value, uncertainty=None, **params):
+    """One results.csv row; NonFiniteFunctional when value or uncertainty
+    is NaN or infinite, so no such cell is written."""
     row = {c: None for c in CSV_COLUMNS}
     row.update(experiment=experiment, quantity=quantity, value=float(value))
     if uncertainty is not None:
         row["uncertainty"] = float(uncertainty)
+    for col in ("value", "uncertainty"):
+        if row[col] is not None and not math.isfinite(row[col]):
+            raise NonFiniteFunctional(f"{experiment} {quantity}: {col} is {row[col]!r}")
     row.update(params)
     return row
 
@@ -656,7 +667,8 @@ EXPERIMENTS = {
         preset={"schema_version": 1, "experiment": "rate-check", "seed": 0,
                 "numerics": {"alphas": [0.3, 0.5, 0.7], "h_values": [0.1, 0.05, 0.025, 0.0125]}},
         run=run_rate_check, checks=_rate_check_checks,
-        description="scaled tail functional error against its analytic bound"),
+        description="scaled tail functional error against its analytic bound",
+        check_numerics=_check_h_ladder),
     "triangulation": Experiment(
         preset={"schema_version": 1, "experiment": "triangulation", "seed": 20240501,
                 "model": CONSTANT_ORDER_MODEL,

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as gamma_fn, ndtr
 
 from .errors import AccuracyLoss, InversionFailure, QuadratureFailure
 
@@ -26,6 +24,8 @@ _MIXTURE_N_U = 2000  # u cells of time_changed_gaussian_density
 
 def laplace_exponent(gamma: float, lam):
     """Exponent of the increasing coordinate: Gamma(1-gamma) lam^gamma / gamma."""
+    from scipy.special import gamma as gamma_fn
+
     return gamma_fn(1.0 - gamma) * np.power(lam, gamma) / gamma
 
 
@@ -61,6 +61,8 @@ def _ml_series(gamma: float, z: float):
 
 
 def _ml_integral(gamma: float, z: float) -> float:
+    from scipy import integrate
+
     # Spectral representation for z = -x < 0, 0 < gamma < 1, after the
     # singularity-removing substitution q = r^gamma:
     #   E_gamma(-x) = (x sin(pi gamma) / (pi gamma))
@@ -123,6 +125,8 @@ def constant_order_solution(gamma: float, k: float, sigma: float, c: float = 1.0
     in its jump-density form (coefficient 1) to the classical form that
     Mittag-Leffler profiles solve.
     """
+    from scipy.special import gamma as gamma_fn
+
     if sigma == 0.0 or k == 0.0:
         return 1.0
     lam = (gamma / gamma_fn(1.0 - gamma)) * (c * k * k / 2.0)
@@ -253,6 +257,8 @@ class ConstantOrderDensity:
     s0: float
 
     def y_cell_masses(self, u: float, y_edges: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtr
+
         sd = math.sqrt(self.g0 * u)
         cdf = ndtr((np.asarray(y_edges, dtype=float) - self.x0) / sd)
         return np.maximum(np.diff(cdf), 0.0)

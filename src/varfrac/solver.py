@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import LinearSolveFailure, SingularityResolutionError
 from .model import Diffusion, Model
@@ -158,6 +157,8 @@ def _slice_solver(model: Model, L: np.ndarray):
     The stable operator is full and is solved dense."""
     if not isinstance(model.spatial, Diffusion):
         return lambda diag, rhs: np.linalg.solve(np.diag(diag) - L, rhs)
+    from scipy.linalg import solve_banded
+
     ab = np.zeros((3, len(L)))  # solve_banded layout: super, main, sub
     ab[0, 1:], ab[2, :-1] = -np.diagonal(L, 1), -np.diagonal(L, -1)
     top, bottom, l_diag = -L[0, -1], -L[-1, 0], np.diagonal(L)

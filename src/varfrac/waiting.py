@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidTailMass, QuadratureFailure
 
@@ -149,6 +148,8 @@ def discretize_waiting_law(law: WaitingLaw, gamma: float, n_atoms: int, r_cap: f
 
 
 def _quad(fn, a, b, **kw):
+    from scipy import integrate
+
     val, err = integrate.quad(fn, a, b, limit=400, epsabs=1e-13, epsrel=1e-12, **kw)
     if err > 1e-10:
         raise QuadratureFailure(f"quadrature error {err:.3g} above 1e-10 on [{a}, {b}]")

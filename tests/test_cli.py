@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from varfrac import experiments
 from varfrac.cli import main, read_results
-from varfrac.errors import ConfigError, SchemaMismatch, StepBudgetExceeded
+from varfrac.errors import ConfigError, NonFiniteFunctional, SchemaMismatch, StepBudgetExceeded
 from varfrac.experiments import CSV_COLUMNS, PRESETS
 
 SMALL_TRI = {
@@ -417,6 +417,9 @@ def test_bad_solver_grid_exit_2(tmp_path, capsys, numerics, message):
     ("subordination-identity", {"density_tau": 1e-320}, "density_tau"),
     ("variable-order", {"points": [{"x0": 0, "taus": [1e-2], "n_traj": [100], "extra": 1}]},
      "unknown keys ['extra'] in points[0]"),
+    # one step size gives no fitted order (it would be inf)
+    ("rate-check", {"h_values": [0.1]}, "at least two distinct values"),
+    ("rate-check", {"h_values": [0.1, 0.1]}, "at least two distinct values"),
 ])
 def test_bad_numerics_exit_2(tmp_path, capsys, experiment, numerics, message):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": experiment,
@@ -481,13 +484,75 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert not (tmp_path / "o").exists()
 
 
+def _patch_runner(monkeypatch, name, runner):
+    record = experiments.EXPERIMENTS[name]
+    monkeypatch.setitem(experiments.EXPERIMENTS, name, dataclasses.replace(record, run=runner))
+
+
 def _raising(monkeypatch, exc):
     """Make solver-convergence's runner raise exc."""
     def runner(config, threads=1):
         raise exc
-    record = experiments.EXPERIMENTS["solver-convergence"]
-    monkeypatch.setitem(experiments.EXPERIMENTS, "solver-convergence",
-                        dataclasses.replace(record, run=runner))
+    _patch_runner(monkeypatch, "solver-convergence", runner)
+
+
+def _returning(monkeypatch, rows=(), plots=None):
+    """Make solver-convergence's runner return these rows and plots."""
+    def runner(config, threads=1):
+        return experiments.ExperimentOutput(rows=[experiments._row(*r) for r in rows],
+                                            plots=plots or {})
+    _patch_runner(monkeypatch, "solver-convergence", runner)
+
+
+@pytest.mark.parametrize("below", [None, "sub"])
+def test_out_that_cannot_be_a_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                below):
+    def runner(config, threads=1):
+        pytest.fail("the runner was called")
+    _patch_runner(monkeypatch, "rate-check", runner)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / below if below else afile
+    assert main(["run", "--preset", "rate-check", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{afile} is not a directory" in err and "Traceback" not in err
+    assert afile.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_output_write_failure_exit_2(tmp_path, capsys, monkeypatch):
+    # The plot's directory does not exist, so writing it raises an OSError
+    # after the run.
+    _returning(monkeypatch, plots={"missing/plot.svg": "<svg/>"})
+    cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write outputs" in err and "missing/plot.svg" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, uncertainty", [(math.nan, None), (1.0, -math.inf)])
+def test_non_finite_row_exit_3_without_results(tmp_path, capsys, monkeypatch, value,
+                                               uncertainty):
+    _returning(monkeypatch, rows=[("solver-convergence", "sup_error", value, uncertainty)])
+    cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: solver-convergence sup_error" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"].startswith("NonFiniteFunctional: ")
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("value, uncertainty, column", [
+    (math.nan, None, "value"), (math.inf, 0.1, "value"), (-math.inf, None, "value"),
+    (0.5, math.nan, "uncertainty"), (0.5, math.inf, "uncertainty"),
+])
+def test_row_rejects_non_finite_numbers(value, uncertainty, column):
+    with pytest.raises(NonFiniteFunctional, match=f"rate-check rate_error: {column} is "):
+        experiments._row("rate-check", "rate_error", value, uncertainty, alpha=0.5, h=0.1)
+    row = experiments._row("rate-check", "rate_error", 0.5, 1e-3, alpha=0.5, h=0.1)
+    assert (row["value"], row["uncertainty"], row["alpha"]) == (0.5, 1e-3, 0.5)
 
 
 def test_runner_value_error_exit_2_without_output(tmp_path, capsys, monkeypatch):
