@@ -11,9 +11,11 @@ cannot be written), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
+import shutil
 import sys
 
 from . import ctrw, solver
@@ -143,35 +145,66 @@ def _non_directory_on(out_dir):
 
 
 def _write_outputs(args, out_dir, manifest, result):
-    """Write a run's files into out_dir, manifest.json last, and return its
-    checks. A failed run (result None) writes the manifest alone."""
+    """Write a run's files into out_dir and return its checks; a failed run
+    (result None) writes the manifest alone. Each file is written under a
+    temporary name, and only once all of them are written does each take its
+    own name, manifest.json last. If a write fails, the temporaries go, and
+    so does the directory if this call made it."""
+    made = _first_missing(out_dir)
     os.makedirs(out_dir, exist_ok=True)
+    staged = []  # (file name, temporary path), in write order
+
+    def stage(name, write):
+        staged.append((name, f"{os.path.join(out_dir, name)}.{os.getpid()}.tmp"))
+        write(staged[-1][1])
+
     checks = []
-    if result is not None:
-        _write_results(os.path.join(out_dir, "results.csv"), result.rows)
-        manifest["outputs"].append("results.csv")
-        for name, svg in result.plots.items():
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(svg)
-            manifest["outputs"].append(name)
-        if args.dump_trajectories:
-            if result.chain is None:
-                print("trajectory dump: experiment has no chain run; skipped", file=sys.stderr)
-            else:
-                ctrw.dump_trajectories(os.path.join(out_dir, "trajectories.csv"),
-                                       n_traj=args.dump_trajectories, **result.chain)
-                manifest["outputs"].append("trajectories.csv")
-        if args.dump_field:
-            if result.field is None:
-                print("field dump: experiment has no grid solve; skipped", file=sys.stderr)
-            else:
-                solver.export_csv(result.field, os.path.join(out_dir, "field.csv"))
-                manifest["outputs"].append("field.csv")
-        checks = evaluate_checks(manifest["config"]["experiment"], result.rows)
-        manifest["checks"] = {c.name: bool(c.passed) for c in checks}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    try:
+        if result is not None:
+            stage("results.csv", lambda path: _write_results(path, result.rows))
+            for name, svg in result.plots.items():
+                stage(name, lambda path: _write_text(path, svg))
+            if args.dump_trajectories:
+                if result.chain is None:
+                    print("trajectory dump: experiment has no chain run; skipped",
+                          file=sys.stderr)
+                else:
+                    stage("trajectories.csv", lambda path: ctrw.dump_trajectories(
+                        path, n_traj=args.dump_trajectories, **result.chain))
+            if args.dump_field:
+                if result.field is None:
+                    print("field dump: experiment has no grid solve; skipped", file=sys.stderr)
+                else:
+                    stage("field.csv", lambda path: solver.export_csv(result.field, path))
+            checks = evaluate_checks(manifest["config"]["experiment"], result.rows)
+            manifest["checks"] = {c.name: bool(c.passed) for c in checks}
+        manifest["outputs"] = [name for name, _ in staged]
+        stage("manifest.json",
+              lambda path: _write_text(path, json.dumps(manifest, indent=2, sort_keys=True)))
+        for name, temp in staged:
+            os.replace(temp, os.path.join(out_dir, name))
+    except BaseException:
+        for _, temp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     return checks
+
+
+def _first_missing(out_dir):
+    """The highest directory that making out_dir would create, or None when
+    out_dir exists."""
+    path, top = os.path.abspath(out_dir), None
+    while not os.path.lexists(path):
+        path, top = os.path.dirname(path), path
+    return top
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def cmd_compare(args):

@@ -73,7 +73,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf):
         raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
     n = len(ids)
     h_x = tau ** (1.0 / model.beta)
-    x_start = float(x0) if model.dim == 1 else np.asarray(x0, dtype=float)
+    x_start = float(x0)
     # Jumps that ignore position make a lane's path independent of its
     # clock, and an order that ignores time makes the clock a function of
     # the path: a pass may then take many steps.
@@ -81,10 +81,10 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf):
     pos = np.arange(min(n, _LANES))
     lane_ids = ids[pos]
     keys = lane_keys(seed, lane_ids)
-    x = np.full(pos.shape + np.shape(x_start), x_start)
+    x = np.full(len(pos), x_start)
     s = np.full(len(pos), float(s0))
     k = np.zeros(len(pos), dtype=np.uint64)
-    out_x = np.empty((n,) + np.shape(x_start))
+    out_x = np.empty(n)
     out_k = np.empty(n, dtype=np.int64)
     next_pos = len(pos)
     # Each pass writes its (width, lanes) step counts into steps_buf, and its
@@ -92,7 +92,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf):
     # path_buf and clock_buf.
     most = _LANES if blocked else len(pos)
     steps_buf = np.empty(most, dtype=np.uint64)
-    path_buf = np.empty((most + len(pos),) + np.shape(x_start))
+    path_buf = np.empty(most + len(pos))
     clock_buf = np.empty(most + len(pos))
     top = 0  # no lane's step count exceeds top
     # A constant order fixes gamma and the waiting scale tau^(1/gamma) for the
@@ -116,7 +116,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf):
         steps = steps_buf[: width * lanes_now].reshape(width, lanes_now)
         np.add(k, np.arange(1, width + 1, dtype=np.uint64)[:, None], out=steps)
         u_jump, u_wait = keyed_uniforms(keys[None], steps)
-        path = path_buf[: (width + 1) * lanes_now].reshape((width + 1,) + x.shape)
+        path = path_buf[: (width + 1) * lanes_now].reshape(width + 1, lanes_now)
         path[0] = x
         np.multiply(h_x, kern.sample(x[None], u_jump), out=path[1:])
         _running_sum(path)
@@ -177,8 +177,7 @@ def _run_chunk_fixed_steps(model, kern, law, x0, s0, tau, seed, ids, step_counts
     the whole vector and all lanes are always on the same step: row j of a
     pass is one step count."""
     targets = sorted({int(c) for c in step_counts})
-    shape = (len(ids),) + np.shape(x0)
-    snaps = {c: (np.empty(shape), np.empty(len(ids))) for c in targets}
+    snaps = {c: (np.empty(len(ids)), np.empty(len(ids))) for c in targets}
     last = targets[-1]
 
     def ends(pos, k, x, s):
@@ -305,8 +304,7 @@ def sample_chain_at_steps(x0, s0, tau, step_counts, n_traj, seed, *, model, kern
 def dump_trajectories(path, x0, s0, t, tau, n_traj, seed, *, model, kernel_family,
                       law) -> None:
     """Write the first n_traj trajectories as CSV rows (traj, step, x, s),
-    replaying the exact streams the estimators consume; x is the first
-    coordinate."""
+    replaying the exact streams the estimators consume."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["traj", "step", "x", "s"])
@@ -314,12 +312,12 @@ def dump_trajectories(path, x0, s0, t, tau, n_traj, seed, *, model, kernel_famil
         def record(pos, k, x, s):
             done = s >= t
             rows = done[:, 0].argmax() + 1 if done.any() else len(k)
-            writer.writerows([i, int(k[j, 0]), repr(float(x[j].flat[0])), repr(float(s[j, 0]))]
+            writer.writerows([i, int(k[j, 0]), repr(float(x[j, 0])), repr(float(s[j, 0]))]
                              for j in range(rows))
             return done
 
         for i in range(n_traj):
-            writer.writerow([i, 0, repr(float(np.ravel(x0)[0])), repr(float(s0))])
+            writer.writerow([i, 0, repr(float(x0)), repr(float(s0))])
             _advance(model, kernel_family, law, x0, s0, tau, seed,
                      np.asarray([i], dtype=np.uint64), record, DEFAULT_STEP_CAP)
 

@@ -23,7 +23,7 @@ class NonPositiveBound(VarfracError):
 
 
 class DimensionUnsupported(VarfracError):
-    """Spatial dimension outside the supported range for the chosen operator."""
+    """A model's spatial dimension is not the one supported (dim must be 1)."""
 
 
 class BoundViolation(VarfracError):
@@ -33,11 +33,6 @@ class BoundViolation(VarfracError):
 class InvalidTailMass(VarfracError):
     """A tail threshold makes the power tail carry more than unit mass, or
     forces the head density above 1."""
-
-
-class KernelInfeasible(VarfracError):
-    """No nonnegative-weight atom system reproduces the requested second
-    moments."""
 
 
 class QuadratureFailure(VarfracError):

@@ -518,13 +518,12 @@ def run_solver_convergence(config, threads=1) -> ExperimentOutput:
 # What a runner assumes of its model beyond make_model's checks;
 # validate_config rejects a model without it.
 _CONSTANT_ORDER = ("a constant order (a_lo == a_hi)", lambda m: m.a_lo == m.a_hi)
-_CONSTANT_G = ("a 1-D diffusion with constant g (dim 1, g_lo == g_hi)",
-               lambda m: m.dim == 1 and isinstance(m.spatial, Diffusion)
-               and m.spatial.g_lo == m.spatial.g_hi)
+_CONSTANT_G = ("a diffusion with constant g (g_lo == g_hi)",
+               lambda m: isinstance(m.spatial, Diffusion) and m.spatial.g_lo == m.spatial.g_hi)
 # The chain walks on the line and the solver on its periodic cell: they solve
-# one problem only if the fields have the cell's period (g is scalar in 1-D).
+# one problem only if the fields have the cell's period.
 _PERIODIC = ("an order field and a spatial coefficient of period 2 pi in x (constant, "
-             "affine with cx = 0, trig with integer freq_x, or bump with amp = 0)",
+             "affine, or trig with integer freq_x)",
              lambda m: m.order_field.periodic
              and (m.spatial.g if isinstance(m.spatial, Diffusion) else m.spatial.m).periodic)
 
@@ -688,7 +687,7 @@ EXPERIMENTS = {
                 ]}},
         run=run_variable_order, checks=_variable_order_checks,
         description="variable-order: solver vs sampler across a step ladder",
-        model_needs=(("a 1-D model (dim 1)", lambda m: m.dim == 1), _PERIODIC),
+        model_needs=(_PERIODIC,),
         # its self-convergence solve runs on the halved grid
         check_numerics=lambda num: _check_grid("halved grid",
                                                [num["n_x"] // 2, num["n_s"] // 2])),

@@ -116,8 +116,6 @@ def build_spatial_operator(model: Model, grid: Grid) -> np.ndarray:
     x = grid.x
     idx = np.arange(n)
     if isinstance(model.spatial, Diffusion):
-        if model.dim != 1:
-            raise ValueError("the grid solver is one-dimensional")
         g = np.asarray(model.spatial.g(0.0, x), dtype=float)
         c = 0.5 * g / dx**2
         L = np.zeros((n, n))

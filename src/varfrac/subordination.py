@@ -102,7 +102,7 @@ def _axes(model, G, x0, s0, t, n_v, n_y, n_u, u_max=None):
     its first histogram time) the u range is searched for. Raises
     ValueError, before any inversion, unless the model is a 1-D diffusion:
     the y range and the frozen-coefficient head assume one."""
-    if not isinstance(model.spatial, Diffusion) or model.dim != 1:
+    if not isinstance(model.spatial, Diffusion):
         raise ValueError("the time-change quadrature requires a 1-D diffusion model")
     if isinstance(G, DensityGrid):
         if G.v_edges[0] > s0 + 1e-12:
@@ -227,7 +227,7 @@ def discrete_subordinated_expectation(model: Model, dlaw: DiscretizedWaitingLaw,
     if model.a_lo != model.a_hi:
         raise ValueError("the exhaustive recursion requires a constant order field")
     sp = model.spatial
-    if not isinstance(sp, Diffusion) or model.dim != 1 or sp.g_lo != sp.g_hi:
+    if not isinstance(sp, Diffusion) or sp.g_lo != sp.g_hi:
         raise ValueError("the exhaustive recursion requires constant 1-D diffusion")
     gam = model.alpha * model.a_lo
     if abs(gam - dlaw.gamma) > 1e-12:

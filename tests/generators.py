@@ -15,16 +15,17 @@ import numpy as np
 from scipy import integrate
 
 from varfrac.errors import QuadratureFailure
-from varfrac.kernels import DiffusionKernelFamily, _diffusion_atoms, kernel_family
+from varfrac.kernels import DiffusionKernelFamily, kernel_family
 from varfrac.model import Diffusion, Model
 
 
 def apply_approx_generator(family, tau: float, f, x) -> float:
     """Small-step generator (1/tau) int (f(x + tau^(1/beta) z) - f(x)) p(x, dz)
-    of a kernel family at x, with beta = 2 for diffusion atoms and the
-    family's own beta otherwise.
+    of a kernel family at x, with beta = 2 for diffusion and the family's
+    own beta otherwise.
 
-    Exact atom sum for diffusion atoms; adaptive quadrature (symmetrized, so
+    Exact sum over the diffusion atoms +-sqrt(g(x)), weight 1/2 each,
+    written here apart from the sampler; adaptive quadrature (symmetrized, so
     odd integrands vanish identically) for the power law, whose density is
     m(x)|z|^(-1-beta) beyond B = (2 m(x) / beta)^(1/beta) and zero inside.
     """
@@ -32,8 +33,8 @@ def apply_approx_generator(family, tau: float, f, x) -> float:
     model = family.model
     if isinstance(family, DiffusionKernelFamily):
         h = tau ** 0.5
-        atoms, weights = _diffusion_atoms(model, x[None, :] if model.dim == 2 else x[:1])
-        vals = [w * (f(x + h * z) - f(x)) for z, w in zip(atoms[0], weights)]
+        a = np.sqrt(np.asarray(model.spatial.g(0.0, x[:1]), dtype=float))
+        vals = [0.5 * (f(x + h * z) - f(x)) for z in (a, -a)]
         return float(np.asarray(sum(vals)).reshape(-1)[0]) / tau
     beta = family.beta
     h = tau ** (1.0 / beta)
@@ -58,17 +59,14 @@ def apply_approx_generator(family, tau: float, f, x) -> float:
 
 
 def limit_generator(model: Model, f, x) -> float:
-    """The limiting spatial generator at x: (1/2) tr(G(x) f'') for the
-    diffusion part, or the singular jump integral with density
-    m(x)|y|^(-1-beta) for the stable part. f must provide second derivatives
-    (attribute d2 in 1-D, hess in 2-D) for the diffusion case."""
+    """The limiting spatial generator at x: (1/2) g(x) f'' for the diffusion
+    part, or the singular jump integral with density m(x)|y|^(-1-beta) for
+    the stable part. f must provide its second derivative (attribute d2) for
+    the diffusion case."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(model.spatial, Diffusion):
-        if model.dim == 1:
-            g = float(model.spatial.g(0.0, x[0]))
-            return 0.5 * g * float(f.d2(x[0]))
-        G = np.asarray(model.spatial.g(x), dtype=float)
-        return 0.5 * float(np.trace(G @ np.asarray(f.hess(x))))
+        g = float(model.spatial.g(0.0, x[0]))
+        return 0.5 * g * float(f.d2(x[0]))
     beta = model.spatial.beta
     m = float(model.spatial.m(0.0, x[0]))
     x0 = float(x[0])
@@ -100,7 +98,6 @@ class TestFunction:
 
     fn: object
     d2: object = None
-    hess: object = None
 
 
 def generator_residual(model: Model, tau: float, f_set, x_grid) -> float:

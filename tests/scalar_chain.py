@@ -32,17 +32,13 @@ def step_chain(state: ChainState, tau, model: Model, kernel_family, law, u_jump,
     both coordinates move jointly.
     """
     x = np.atleast_1d(np.asarray(state.x, dtype=float))
-    gam = float(gamma_at(model, state.s, x[0] if model.dim == 1 else x))
+    gam = float(gamma_at(model, state.s, x[0]))
     r = float(law.sample(gam, u_wait))
     # The exponent is a one-element array, as in the chain: numpy's scalar
     # power can round the last bit differently from its array loop.
     s_new = state.s + float(np.power(tau, 1.0 / np.full(1, gam))[0]) * r
-    if model.dim == 1:
-        y = kernel_family.sample(x, np.asarray([u_jump]))
-        x_new = x + tau ** (1.0 / model.beta) * np.asarray(y)
-    else:
-        y = kernel_family.sample(x[None, :], np.asarray([u_jump]))[0]
-        x_new = x + tau ** (1.0 / model.beta) * y
+    y = kernel_family.sample(x, np.asarray([u_jump]))
+    x_new = x + tau ** (1.0 / model.beta) * np.asarray(y)
     return ChainState(x=x_new, s=s_new, k=state.k + 1)
 
 

@@ -160,6 +160,9 @@ def test_mutated_config_exits_0_2_or_3(experiment, data):
         config["model"] = json.loads(json.dumps(model))
         keys += [f"model.{k}" for k in sorted(model)]
         keys += [f"model.spatial.{k}" for k in sorted(model["spatial"])]
+        keys += [f"model.order_field.{k}" for k in sorted(model["order_field"])]
+        keys += [f"model.spatial.{c}.{k}" for c in ("g", "m") if c in model["spatial"]
+                 for k in sorted(model["spatial"][c])]
         keys.append(None)
     key = data.draw(st.sampled_from(keys))
     if key is not None:
@@ -253,17 +256,15 @@ _STABLE = {"kind": "stable1d", "beta": 0.5, "m": {"kind": "constant", "value": 0
 _G2_MODEL = {**PRESETS["triangulation"]["model"],
              "spatial": {**_DIFFUSION, "g": {"kind": "constant", "value": 2.0},
                          "g_lo": 2.0, "g_hi": 2.0}}
-_DIM2_MODEL = {**PRESETS["triangulation"]["model"], "dim": 2,
-               "spatial": {"kind": "diffusion", "g_matrix": [[1.0, 0.0], [0.0, 1.0]],
-                           "g_lo": 1.0, "g_hi": 1.0}}
 _WHOLE_MODELS = [PRESETS["triangulation"]["model"], PRESETS["variable-order"]["model"],
-                 {**PRESETS["triangulation"]["model"], "spatial": _STABLE}, _G2_MODEL,
-                 _DIM2_MODEL]
+                 {**PRESETS["triangulation"]["model"], "spatial": _STABLE}, _G2_MODEL]
+_TRIG = {"kind": "trig", "base": 1.0, "amp": 0.0, "freq_x": 1.0}
 
 
 # A wrong type, a non-finite value or a missing bound in any model entry,
 # nested ones too, must stop the run before any output exists, naming the
-# entry.
+# entry. So must a dim other than 1, a list where a number goes, and a key
+# or a field kind outside the schema (g_matrix, cx, bump, a list as a kind).
 @pytest.mark.parametrize("key, change", [
     ("a_lo", {"a_lo": math.nan}),
     ("a_hi", {"a_hi": math.nan}),
@@ -276,6 +277,14 @@ _WHOLE_MODELS = [PRESETS["triangulation"]["model"], PRESETS["variable-order"]["m
     ("g_lo", {"spatial": {k: v for k, v in _DIFFUSION.items() if k != "g_lo"}}),
     ("beta", {"spatial": {**_STABLE, "beta": "0.5"}}),
     ("m_hi", {"spatial": {**_STABLE, "m_hi": "0.25"}}),
+    ("dim", {"dim": 2}),
+    ("freq_x", {"order_field": {**_TRIG, "freq_x": []}}),
+    ("freq_x", {"order_field": {**_TRIG, "freq_x": [1.0, 7.0]}}),
+    ("bump", {"order_field": {"kind": "bump", "base": 1.0, "amp": 0.0, "center": [],
+                              "width": 1.0}}),
+    ("cx", {"order_field": {"kind": "affine", "c0": 1.0, "cx": 0.0}}),
+    ("g_matrix", {"spatial": {**_DIFFUSION, "g_matrix": [[1.0, 0.0], [0.0, 1.0]]}}),
+    ("kind", {"order_field": {"kind": []}}),
 ])
 def test_bad_model_value_exit_2(tmp_path, capsys, key, change):
     model = {**PRESETS["triangulation"]["model"], **change}
@@ -287,19 +296,14 @@ def test_bad_model_value_exit_2(tmp_path, capsys, key, change):
 
 
 # A well-formed model that the runner cannot use: the subordination
-# recursion needs a constant order, the constant-order closed forms a
-# constant order and a constant g, and the grid solver one dimension. Each
-# stops before any output exists.
+# recursion needs a constant order, and the constant-order closed forms a
+# constant order and a constant g. Each stops before any output exists.
 @pytest.mark.parametrize("experiment, model, need", [
     ("subordination-identity", {**PRESETS["subordination-identity"]["model"], "a_lo": 0.5},
      "constant order"),
     ("triangulation", PRESETS["variable-order"]["model"], "constant order"),
     ("triangulation", {**PRESETS["triangulation"]["model"], "spatial": _STABLE}, "constant g"),
     ("solver-convergence", PRESETS["variable-order"]["model"], "constant order"),
-    ("triangulation", _DIM2_MODEL, "1-D"),
-    ("variable-order", _DIM2_MODEL, "1-D"),
-    ("subordination-identity", _DIM2_MODEL, "1-D"),
-    ("solver-convergence", _DIM2_MODEL, "1-D"),
 ])
 def test_model_the_runner_cannot_use_exit_2(tmp_path, capsys, experiment, model, need):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": experiment,
@@ -321,12 +325,12 @@ _TIME_DEPENDENT_ORDER = {**_VARORDER, "order_field": {"kind": "affine", "c0": 1.
 # the periodic cell) would read differently. Each stops before any output.
 @pytest.mark.parametrize("model, numerics, message", [
     (_TIME_DEPENDENT_ORDER, {"t": 2.6}, "t must be at most 2"),
-    ({**_VARORDER, "spatial": {**_DIFFUSION, "g": {"kind": "affine", "c0": 1.0, "cx": 0.3},
-                               "g_lo": 0.05, "g_hi": 1.95}}, {"points": [
+    ({**_VARORDER, "spatial": {**_DIFFUSION, "g": {**_TRIG, "amp": 0.5, "freq_x": 0.5},
+                               "g_lo": 0.5, "g_hi": 1.5}}, {"points": [
         {"x0": -2.5, "taus": [0.1], "n_traj": [200]}]}, "period 2 pi"),
     ({**_VARORDER, "order_field": {**_VARORDER["order_field"], "freq_x": 0.5}}, {},
      "period 2 pi"),
-], ids=["order-past-s-2", "affine-g", "half-frequency-order"])
+], ids=["order-past-s-2", "half-frequency-g", "half-frequency-order"])
 def test_model_outside_its_checked_range_exit_2(tmp_path, capsys, model, numerics, message):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "variable-order",
                                         "seed": 0, "model": model, "numerics": numerics})
@@ -522,13 +526,26 @@ def test_out_that_cannot_be_a_directory_exit_2_before_any_work(tmp_path, capsys,
 
 def test_output_write_failure_exit_2(tmp_path, capsys, monkeypatch):
     # The plot's directory does not exist, so writing it raises an OSError
-    # after the run.
+    # after the run. No file is kept, and the directory the run made goes.
     _returning(monkeypatch, plots={"missing/plot.svg": "<svg/>"})
     cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o" / "deeper")]) == 2
     err = capsys.readouterr().err
     assert "cannot write outputs" in err and "missing/plot.svg" in err
     assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_output_write_failure_leaves_an_existing_directory_as_it_was(tmp_path, capsys,
+                                                                      monkeypatch):
+    # results.csv is written before the plot fails, but only under a
+    # temporary name, which goes with the failure.
+    _returning(monkeypatch, plots={"missing/p.svg": "<svg/>"})
+    cfg = _write(tmp_path, "cfg.json", SMALL_CONV)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(cfg), "--out", "."]) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("value, uncertainty", [(math.nan, None), (1.0, -math.inf)])

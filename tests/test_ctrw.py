@@ -21,14 +21,6 @@ STABLE_TRIG = dict(STABLE_HALF, spatial={
     "m": {"kind": "trig", "base": 0.5, "amp": 0.25, "freq_x": 1.0},
     "m_lo": 0.25, "m_hi": 0.75,
 })
-DIFFUSION_2D = {
-    "alpha": 0.5,
-    "order_field": {"kind": "constant", "value": 1.0},
-    "a_lo": 1.0, "a_hi": 1.0,
-    "spatial": {"kind": "diffusion", "g_matrix": [[1.0, 0.5], [0.5, 1.0]],
-                "g_lo": 0.4, "g_hi": 1.6},
-    "dim": 2,
-}
 
 
 @pytest.fixture(scope="module")
@@ -237,22 +229,6 @@ def test_variable_order_chain_runs(varorder_model):
     assert abs(est.mean) <= 1.0
 
 
-def test_two_dimensional_chain_steps():
-    model = make_model(DIFFUSION_2D)
-    fam = kernel_family(model)
-    law = waiting.build_waiting_law(0.5, 0.5)
-    state = ChainState(x=np.array([0.0, 0.0]), s=0.0)
-    st = TrajectoryStream(seed=2, traj_index=0)
-    for _ in range(20):
-        uj, uw = st.next_pair()
-        state = step_chain(state, 0.01, model, fam, law, uj, uw)
-    assert state.x.shape == (2,)
-    assert state.s > 0.0
-    x, T, k = _one_lane(np.zeros(2), 0.5, 0.02, model, fam, law, seed=3, traj=1)
-    assert x.shape == (2,)
-    assert T == pytest.approx(k * 0.02)
-
-
 # Golden digests of the chain's output bytes for the variable-order model,
 # recorded before the lane-refill kernel replaced the per-chunk loops. 40,000
 # trajectories fill more than two lane widths and end in a ragged id block,
@@ -413,14 +389,14 @@ def test_drain_replay_matches_longest(varorder_setup, monkeypatch):
 
 _TIME_DEPENDENT_ORDER = dict(VARIABLE_ORDER, order_field=dict(VARIABLE_ORDER["order_field"],
                                                               freq_t=2.0))
-_AFFINE_G = dict(VARIABLE_ORDER, spatial={
-    "kind": "diffusion", "g": {"kind": "affine", "c0": 1.0, "cx": 0.25},
-    "g_lo": 0.2, "g_hi": 1.8,
+_TRIG_G = dict(VARIABLE_ORDER, spatial={
+    "kind": "diffusion", "g": {"kind": "trig", "base": 1.0, "amp": 0.25, "freq_x": 1.0},
+    "g_lo": 0.75, "g_hi": 1.25,
 })
 
 
-@pytest.mark.parametrize("cfg", [_TIME_DEPENDENT_ORDER, _AFFINE_G],
-                         ids=["time-dependent-order", "affine-g"])
+@pytest.mark.parametrize("cfg", [_TIME_DEPENDENT_ORDER, _TRIG_G],
+                         ids=["time-dependent-order", "trig-g"])
 def test_one_step_pass_replay_matches_longest(cfg, monkeypatch):
     # A step reads the time or the position the step before wrote, so each
     # pass takes one step.
@@ -444,20 +420,18 @@ _PATH_SHA256 = {
     "constant-order": "03a99ef18dd8df64a7a2df7823d9651679b66daac5fca7f8b10ca90060f6fbdc",
     "stable-constant-m": "50d2e4f9878e318fd6e22e621c48615014a4595a6a9c3c87892fc76c5eecd54f",
     "stable-trig-m": "415bed9802493443527829870385bbab37a3c4f2c300e3d112ecb1e9a9233e41",
-    "diffusion-2d": "3ca6b9b2dc842428048470b626474abbfa5a8fd84e0554a820116fcacbb6027b",
 }
 _PATH_CONFIGS = {
-    "constant-order": (CONSTANT_ORDER, 0.0),
-    "stable-constant-m": (STABLE_HALF, 0.0),
-    "stable-trig-m": (STABLE_TRIG, 0.0),
-    "diffusion-2d": (DIFFUSION_2D, np.zeros(2)),
+    "constant-order": CONSTANT_ORDER,
+    "stable-constant-m": STABLE_HALF,
+    "stable-trig-m": STABLE_TRIG,
 }
 
 
-def _hitting_bytes(cfg, x0, n_traj=40_000, threads=1):
+def _hitting_bytes(cfg, n_traj=40_000, threads=1):
     model = make_model(cfg)
     law = waiting.build_waiting_law(model.gamma_lo, model.gamma_hi)
-    xs, Ts = ctrw.sample_hitting(x0, 0.0, 1.0, 1e-2, n_traj, 8, model=model,
+    xs, Ts = ctrw.sample_hitting(0.0, 0.0, 1.0, 1e-2, n_traj, 8, model=model,
                                  kernel_family=kernel_family(model), law=law, threads=threads)
     return xs.tobytes() + Ts.tobytes()
 
@@ -465,8 +439,7 @@ def _hitting_bytes(cfg, x0, n_traj=40_000, threads=1):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("path", sorted(_PATH_SHA256))
 def test_chain_path_golden_digest(path, threads):
-    cfg, x0 = _PATH_CONFIGS[path]
-    digest = hashlib.sha256(_hitting_bytes(cfg, x0, threads=threads)).hexdigest()
+    digest = hashlib.sha256(_hitting_bytes(_PATH_CONFIGS[path], threads=threads)).hexdigest()
     assert digest == _PATH_SHA256[path]
 
 
@@ -476,7 +449,7 @@ def test_constant_coefficient_matches_field_path(cfg, coef):
     # constant kind may be read once. Both must give the same bytes.
     value = cfg["spatial"][coef]["value"]
     affine = dict(cfg, spatial=dict(cfg["spatial"], **{coef: {"kind": "affine", "c0": value}}))
-    assert _hitting_bytes(affine, 0.0, 20_000) == _hitting_bytes(cfg, 0.0, 20_000)
+    assert _hitting_bytes(affine, 20_000) == _hitting_bytes(cfg, 20_000)
 
 
 @pytest.mark.parametrize("threads", [0, -3])

@@ -51,7 +51,7 @@ def test_gamma_at_constant():
 def test_gamma_at_variable():
     cfg = _cfg(
         alpha=0.4,
-        order_field={"kind": "affine", "c0": 1.5, "ct": 0.0, "cx": 0.0},
+        order_field={"kind": "affine", "c0": 1.5, "ct": 0.0},
         a_lo=1.5,
         a_hi=1.5,
     )
@@ -98,7 +98,7 @@ def test_field_outside_declared_range_rejected():
 def test_spatial_field_outside_declared_range_rejected():
     cfg = _cfg(
         spatial={"kind": "diffusion",
-                 "g": {"kind": "bump", "base": 1.0, "amp": 1.0, "center": 0.0, "width": 1.0},
+                 "g": {"kind": "trig", "base": 1.0, "amp": 1.0, "freq_x": 1.0},
                  "g_lo": 1.0, "g_hi": 1.5},
     )
     with pytest.raises(BoundViolation):
@@ -122,35 +122,42 @@ def test_make_model_deterministic():
     assert a.spatial == b.spatial
 
 
-def test_matrix_field_eigenvalue_check():
-    cfg = _cfg(
-        dim=2,
-        spatial={"kind": "diffusion", "g_matrix": [[1.0, 0.5], [0.5, 1.0]],
-                 "g_lo": 0.5, "g_hi": 1.5},
-    )
-    model = make_model(cfg)
-    G = model.spatial.g(np.array([0.3, -0.4]))
-    assert G.shape == (2, 2)
-    # declared range excludes the true eigenvalue 1.5 -> reject
-    cfg_bad = _cfg(
-        dim=2,
-        spatial={"kind": "diffusion", "g_matrix": [[1.0, 0.5], [0.5, 1.0]],
-                 "g_lo": 0.6, "g_hi": 1.5},
-    )
-    with pytest.raises(BoundViolation):
-        make_model(cfg_bad)
-
-
-@pytest.mark.parametrize("field, dim, periodic", [
-    ({"kind": "constant", "value": 1.0}, 1, True),
-    ({"kind": "affine", "c0": 1.0, "ct": 0.5}, 1, True),
-    ({"kind": "affine", "c0": 1.0, "cx": 0.3}, 1, False),
-    ({"kind": "affine", "c0": 1.0, "cx": [0.0, 0.3]}, 2, False),
-    ({"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 2.0}, 1, True),
-    ({"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 0.5}, 1, False),
-    ({"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": [1.0, 1.5]}, 2, False),
-    ({"kind": "bump", "base": 1.0, "amp": 0.0, "center": 0.0, "width": 1.0}, 1, True),
-    ({"kind": "bump", "base": 1.0, "amp": 0.5, "center": 0.0, "width": 1.0}, 1, False),
+@pytest.mark.parametrize("field, periodic", [
+    ({"kind": "constant", "value": 1.0}, True),
+    ({"kind": "affine", "c0": 1.0, "ct": 0.5}, True),
+    ({"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 2.0}, True),
+    ({"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 0.5}, False),
 ])
-def test_periodic_fields(field, dim, periodic):
-    assert parse_scalar_field(field, dim).periodic is periodic
+def test_periodic_fields(field, periodic):
+    assert parse_scalar_field(field).periodic is periodic
+
+
+@pytest.mark.parametrize("field", [
+    {"kind": "constant", "value": 1.0},
+    {"kind": "affine", "c0": 1.0, "ct": 0.5},
+    {"kind": "trig", "base": 1.0, "amp": 0.5},
+    {"kind": "trig", "base": 1.0, "amp": 0.5, "freq_t": 2.0},
+])
+def test_field_at_one_time_has_the_shape_of_x(field):
+    assert parse_scalar_field(field)(0.3, np.zeros((3, 4))).shape == (3, 4)
+
+
+# Inputs outside the model's schema: a dimension other than 1, a coefficient
+# matrix, the bump kind, an x slope for affine, and parameters that are not
+# plain numbers. Each is rejected with its error type, naming the key or kind.
+@pytest.mark.parametrize("change, error, name", [
+    ({"dim": 2}, DimensionUnsupported, "dim"),
+    ({"dim": 1.0}, DimensionUnsupported, "dim"),
+    ({"spatial": {**CONSTANT_ORDER["spatial"], "g_matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+     ConfigError, "g_matrix"),
+    ({"order_field": {"kind": "bump", "base": 1.0, "amp": 0.0, "center": 0.0, "width": 1.0}},
+     ConfigError, "bump"),
+    ({"order_field": {"kind": "affine", "c0": 1.0, "cx": 0.0}}, ConfigError, "cx"),
+    ({"order_field": {"kind": "trig", "base": 1.0, "amp": 0.0, "freq_x": []}},
+     ConfigError, "freq_x"),
+    ({"order_field": {"kind": "trig", "base": 1.0, "amp": 0.0, "freq_x": [1.0]}},
+     ConfigError, "freq_x"),
+])
+def test_inputs_outside_the_model_rejected(change, error, name):
+    with pytest.raises(error, match=name):
+        make_model(_cfg(**change))
