@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctrw, oracles, solver, subordination, svgplot, waiting
-from .errors import ConfigError, NonFiniteFunctional, VarfracError
+from .errors import ConfigError, DimensionUnsupported, NonFiniteFunctional, VarfracError
 from .kernels import kernel_family
 from .model import VALIDATED_T, Diffusion, _check_int, _check_number, make_model
 
@@ -110,6 +110,8 @@ def validate_config(config) -> dict:
     if "model" in merged:
         try:
             model = make_model(merged["model"])
+        except DimensionUnsupported as exc:
+            raise ConfigError(f"invalid model: {exc}; {name} needs a 1-D model") from exc
         except (VarfracError, ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"invalid model: {exc}") from exc
         for need, holds in experiment.model_needs:

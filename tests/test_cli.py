@@ -259,6 +259,7 @@ _G2_MODEL = {**PRESETS["triangulation"]["model"],
 _WHOLE_MODELS = [PRESETS["triangulation"]["model"], PRESETS["variable-order"]["model"],
                  {**PRESETS["triangulation"]["model"], "spatial": _STABLE}, _G2_MODEL]
 _TRIG = {"kind": "trig", "base": 1.0, "amp": 0.0, "freq_x": 1.0}
+_DIM2_MODEL = {**PRESETS["triangulation"]["model"], "dim": 2}
 
 
 # A wrong type, a non-finite value or a missing bound in any model entry,
@@ -296,14 +297,19 @@ def test_bad_model_value_exit_2(tmp_path, capsys, key, change):
 
 
 # A well-formed model that the runner cannot use: the subordination
-# recursion needs a constant order, and the constant-order closed forms a
-# constant order and a constant g. Each stops before any output exists.
+# recursion needs a constant order, the constant-order closed forms a
+# constant order and a constant g, and every runner one dimension. Each
+# stops before any output exists.
 @pytest.mark.parametrize("experiment, model, need", [
     ("subordination-identity", {**PRESETS["subordination-identity"]["model"], "a_lo": 0.5},
      "constant order"),
     ("triangulation", PRESETS["variable-order"]["model"], "constant order"),
     ("triangulation", {**PRESETS["triangulation"]["model"], "spatial": _STABLE}, "constant g"),
     ("solver-convergence", PRESETS["variable-order"]["model"], "constant order"),
+    ("triangulation", _DIM2_MODEL, "1-D"),
+    ("variable-order", _DIM2_MODEL, "1-D"),
+    ("subordination-identity", _DIM2_MODEL, "1-D"),
+    ("solver-convergence", _DIM2_MODEL, "1-D"),
 ])
 def test_model_the_runner_cannot_use_exit_2(tmp_path, capsys, experiment, model, need):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": experiment,
