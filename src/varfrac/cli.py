@@ -98,9 +98,9 @@ def cmd_run(args):
         return 2
 
     out_dir = args.out or config.get("output_dir") or "."
-    blocker = _non_directory_on(out_dir)
-    if blocker is not None:
-        print(f"invalid output directory {out_dir}: {blocker} is not a directory",
+    existing, _ = _walk_up(out_dir)
+    if not os.path.isdir(existing):
+        print(f"invalid output directory {out_dir}: {existing} is not a directory",
               file=sys.stderr)
         return 2
     manifest = {
@@ -135,13 +135,14 @@ def cmd_run(args):
     return 0
 
 
-def _non_directory_on(out_dir):
-    """The nearest existing path at or above out_dir when it is not a
-    directory, so that out_dir cannot be made one; else None."""
-    path = os.path.abspath(out_dir)
+def _walk_up(out_dir):
+    """(the nearest existing path at or above out_dir, the highest directory
+    that making out_dir would create or None when out_dir exists). out_dir
+    can be made a directory only when the first is one."""
+    path, top = os.path.abspath(out_dir), None
     while not os.path.lexists(path):
-        path = os.path.dirname(path)
-    return None if os.path.isdir(path) else path
+        path, top = os.path.dirname(path), path
+    return path, top
 
 
 def _write_outputs(args, out_dir, manifest, result):
@@ -150,7 +151,7 @@ def _write_outputs(args, out_dir, manifest, result):
     temporary name, and only once all of them are written does each take its
     own name, manifest.json last. If a write fails, the temporaries go, and
     so does the directory if this call made it."""
-    made = _first_missing(out_dir)
+    _, made = _walk_up(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     staged = []  # (file name, temporary path), in write order
 
@@ -191,15 +192,6 @@ def _write_outputs(args, out_dir, manifest, result):
             shutil.rmtree(made, ignore_errors=True)
         raise
     return checks
-
-
-def _first_missing(out_dir):
-    """The highest directory that making out_dir would create, or None when
-    out_dir exists."""
-    path, top = os.path.abspath(out_dir), None
-    while not os.path.lexists(path):
-        path, top = os.path.dirname(path), path
-    return top
 
 
 def _write_text(path, text):

@@ -1,10 +1,19 @@
-"""Problem definition on the line: order field, spatial coefficients, and
-their bounds.
+"""Problem definition on the line: order field, spatial parts, and their
+bounds.
 
 Coefficient fields are named presets whose parameters are plain numbers (so
 configs stay serializable), and every declared bound is verified by dense
 grid sampling over the solver's periodic cell at construction time with zero
-tolerance.
+tolerance. One reader, `read_mapping`, checks every config mapping and names
+the full path of the entry it rejects.
+
+A spatial part is also the jump law at every position, and samples it. The
+diffusion law puts weight 1/2 on each of +-sqrt(g(x)), which matches the
+second moment g(x) exactly; the jump law of index beta is the pure power law
+m(x)|z|^(-1-beta) beyond the smallest threshold that carries all its mass.
+All limit operators are taken in the jump form
+int (f(x+y) - f(x)) m(x)|y|^(-1-beta) dy, which fixes one normalization for
+the samplers, the chain engine, and the grid solver.
 """
 
 from __future__ import annotations
@@ -42,6 +51,28 @@ def _check_number(name, v, lo=-math.inf, hi=math.inf):
         raise ConfigError(f"{name} must be a number in ({lo:g}, {hi:g}), got {v!r}")
 
 
+def read_mapping(path, cfg, keys, defaults=None) -> dict:
+    """The entries of cfg, the mapping at config path `path`, with defaults
+    filled in for the allowed keys it lacks. keys is the set of allowed
+    keys, or maps each kind to its set when cfg names its kind under "kind".
+    Every allowed key without a default must be present."""
+    if not isinstance(cfg, Mapping):
+        raise ConfigError(f"{path} must be a mapping, got {cfg!r}")
+    if isinstance(keys, Mapping):
+        kind = cfg.get("kind")
+        if not isinstance(kind, str) or kind not in keys:
+            raise ConfigError(f"{path}.kind must be one of {sorted(keys)}, got {kind!r}")
+        keys = keys[kind] | {"kind"}
+    unknown = set(cfg) - keys
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {path}")
+    defaults = {k: v for k, v in (defaults or {}).items() if k in keys}
+    missing = sorted(keys - set(cfg) - set(defaults))
+    if missing:
+        raise ConfigError(f"{path}.{missing[0]} is missing")
+    return {**defaults, **cfg}
+
+
 # ---------------------------------------------------------------------------
 # scalar coefficient fields a(t, x), m(x), g(x)
 # ---------------------------------------------------------------------------
@@ -77,8 +108,8 @@ class ScalarField:
 
     @cached_property
     def _coef(self):
-        """Numeric params with their defaults, parsed on the first call only."""
-        return {k: float(v) for k, v in {**_FIELD_DEFAULTS, **self.params}.items()}
+        """Numeric params, parsed on the first call only."""
+        return {k: float(v) for k, v in self.params.items()}
 
     @property
     def time_independent(self) -> bool:
@@ -104,43 +135,82 @@ _FIELD_KEYS = {
 _FIELD_DEFAULTS = {"c0": 0.0, "ct": 0.0, "freq_x": 1.0, "freq_t": 0.0}
 
 
-def parse_scalar_field(field_cfg: Mapping) -> ScalarField:
-    if not isinstance(field_cfg, Mapping) or "kind" not in field_cfg:
-        raise ConfigError("field config must be a mapping with a 'kind' key")
-    kind = field_cfg["kind"]
-    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
-        raise ConfigError(f"unknown field kind {kind!r}")
-    params = {k: v for k, v in field_cfg.items() if k != "kind"}
-    unknown = set(params) - _FIELD_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} for field kind {kind!r}")
+def parse_scalar_field(field_cfg: Mapping, path: str = "field") -> ScalarField:
+    """The field at config path `path`; every parameter a plain number."""
+    params = read_mapping(path, field_cfg, _FIELD_KEYS, _FIELD_DEFAULTS)
+    kind = params.pop("kind")
     for key, v in params.items():
-        _check_number(f"{kind} field {key}", v)
+        _check_number(f"{path}.{key}", v)
     return ScalarField(kind=kind, params=params)
 
 
 # ---------------------------------------------------------------------------
-# spatial parts
+# spatial parts: the coefficient and the jump law it sets at every position
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Diffusion:
-    """Second-order spatial part with coefficient g(x)."""
+    """Second-order spatial part with coefficient g(x); its jumps are the
+    two atoms +-sqrt(g(x)), drawn by a single-u inverse-CDF sampler
+    (vectorized over positions)."""
 
     g: ScalarField
     g_lo: float
     g_hi: float
+    beta = 2.0  # the walk's space-time scaling index, not a field
+
+    @cached_property
+    def _atom(self):
+        # A constant g gives the same atoms at every position: read it once.
+        return np.sqrt(float(self.g(0.0, 0.0))) if self.g.kind == "constant" else None
+
+    @property
+    def position_free(self) -> bool:
+        """True when the jump law is the same at every position."""
+        return self._atom is not None
+
+    def sample(self, x, u):
+        """One jump per uniform in u, from positions x that broadcast against u."""
+        a = self._atom
+        if a is None:
+            a = np.sqrt(np.asarray(self.g(0.0, x), dtype=float))
+        # -a below 1/2 and +a from 1/2 up, exactly: u - 0.5 is +0.0 at 1/2.
+        return np.copysign(a, np.asarray(u, dtype=float) - 0.5)
 
 
 @dataclass(frozen=True)
 class Stable1D:
-    """Jump-type spatial part of index beta with intensity m(x)."""
+    """Jump-type spatial part of index beta with intensity m(x); its jumps
+    follow the power tail beyond the minimal threshold."""
 
     beta: float
     m: ScalarField
     m_lo: float
     m_hi: float
+
+    @cached_property
+    def _two_m(self):
+        return 2.0 * float(self.m(0.0, 0.0)) if self.m.kind == "constant" else None
+
+    @property
+    def position_free(self) -> bool:
+        """True when the jump law is the same at every position."""
+        return self._two_m is not None
+
+    def sample(self, x, u):
+        """One jump per uniform in u, from positions x that broadcast against u."""
+        beta = self.beta
+        two_m = self._two_m
+        if two_m is None:
+            two_m = 2.0 * np.asarray(self.m(0.0, x), dtype=float)
+        # Minimal threshold: tail mass is exactly 1, so |z| is a pure power
+        # draw and the sign comes from which half of (0,1) u fell in. Both
+        # halves map onto (0,1) exactly: 2u is exact, so 2u - 1 = -(1 - 2u).
+        u_half = np.abs(2.0 * u - 1.0)
+        # Survival of |z|: 2 m r^(-beta) / beta; invert at 1 - u_half.
+        mag = (beta * (1.0 - u_half) / two_m) ** (-1.0 / beta)
+        return np.copysign(mag, u - 0.5)
 
 
 @dataclass(frozen=True)
@@ -158,7 +228,7 @@ class Model:
 
     @property
     def beta(self) -> float:
-        return 2.0 if isinstance(self.spatial, Diffusion) else self.spatial.beta
+        return self.spatial.beta
 
     @property
     def gamma_lo(self) -> float:
@@ -180,8 +250,8 @@ def gamma_at(model: Model, s, x):
 
 _MODEL_KEYS = {"alpha", "order_field", "a_lo", "a_hi", "spatial", "dim"}
 _SPATIAL_KEYS = {
-    "diffusion": {"kind", "g", "g_lo", "g_hi"},
-    "stable1d": {"kind", "beta", "m", "m_lo", "m_hi"},
+    "diffusion": {"g", "g_lo", "g_hi"},
+    "stable1d": {"beta", "m", "m_lo", "m_hi"},
 }
 
 
@@ -203,80 +273,56 @@ def make_model(config: Mapping) -> Model:
     the upper order bound with alpha must stay below 1, every lower bound
     must be strictly positive, and the coefficient fields are spot-checked
     on a dense grid of s in [0, VALIDATED_T] and x in the solver's cell
-    against their declared ranges (hard reject, no tolerance).
+    against their declared ranges (hard reject, no tolerance). Each
+    rejection names the entry's path, such as model.spatial.g.amp.
     """
-    if not isinstance(config, Mapping):
-        raise ConfigError("model config must be a mapping")
-    unknown = set(config) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown model keys {sorted(unknown)}")
-    for key in ("alpha", "order_field", "a_lo", "a_hi", "spatial", "dim"):
-        if key not in config:
-            raise ConfigError(f"model config missing {key!r}")
-
+    config = read_mapping("model", config, _MODEL_KEYS)
     for key in ("alpha", "a_lo", "a_hi"):
-        _check_number(key, config[key])
+        _check_number(f"model.{key}", config[key])
     alpha, a_lo, a_hi = (float(config[key]) for key in ("alpha", "a_lo", "a_hi"))
     dim = config["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim != 1:
-        raise DimensionUnsupported(f"dim must be the integer 1, got {dim!r}")
+        raise DimensionUnsupported(f"model.dim must be the integer 1, got {dim!r}")
     if not 0.0 < alpha < 1.0:
-        raise OrderBoundViolation(f"alpha must lie in (0,1), got {alpha}")
+        raise OrderBoundViolation(f"model.alpha must lie in (0,1), got {alpha}")
     if a_lo <= 0.0:
-        raise NonPositiveBound(f"a_lo must be > 0, got {a_lo}")
+        raise NonPositiveBound(f"model.a_lo must be > 0, got {a_lo}")
     if a_lo > a_hi:
-        raise ConfigError("a_lo > a_hi")
+        raise ConfigError("model.a_lo > model.a_hi")
     if a_hi * alpha >= 1.0:
         raise OrderBoundViolation(
-            f"a_hi * alpha = {a_hi * alpha} >= 1; the upper order bound is too large"
+            f"model.a_hi * model.alpha = {a_hi * alpha} >= 1; the upper order bound is too large"
         )
 
-    order_field = parse_scalar_field(config["order_field"])
+    order_field = parse_scalar_field(config["order_field"], "model.order_field")
 
-    spatial_cfg = config["spatial"]
-    if not isinstance(spatial_cfg, Mapping) or "kind" not in spatial_cfg:
-        raise ConfigError("spatial config must be a mapping with a 'kind' key")
-    kind = spatial_cfg["kind"]
-    if not isinstance(kind, str) or kind not in _SPATIAL_KEYS:
-        raise ConfigError(f"unknown spatial kind {kind!r}")
-    unknown = set(spatial_cfg) - _SPATIAL_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown spatial keys {sorted(unknown)}")
-    coef = "g" if kind == "diffusion" else "m"
+    path = "model.spatial"
+    spatial_cfg = read_mapping(path, config["spatial"], _SPATIAL_KEYS)
+    coef = "g" if spatial_cfg["kind"] == "diffusion" else "m"
     for key in (f"{coef}_lo", f"{coef}_hi"):
-        _check_number(key, spatial_cfg[key])
+        _check_number(f"{path}.{key}", spatial_cfg[key])
     lo, hi = float(spatial_cfg[f"{coef}_lo"]), float(spatial_cfg[f"{coef}_hi"])
     if lo <= 0.0:
-        raise NonPositiveBound(f"{coef}_lo must be > 0, got {lo}")
-    if kind == "stable1d":
-        _check_number("beta", spatial_cfg["beta"], 0.0, 2.0)
+        raise NonPositiveBound(f"{path}.{coef}_lo must be > 0, got {lo}")
+    if coef == "m":
+        _check_number(f"{path}.beta", spatial_cfg["beta"], 0.0, 2.0)
         spatial = Stable1D(beta=float(spatial_cfg["beta"]),
-                           m=parse_scalar_field(spatial_cfg["m"]), m_lo=lo, m_hi=hi)
+                           m=parse_scalar_field(spatial_cfg["m"], f"{path}.m"), m_lo=lo, m_hi=hi)
     else:
-        spatial = Diffusion(g=parse_scalar_field(spatial_cfg["g"]), g_lo=lo, g_hi=hi)
+        spatial = Diffusion(g=parse_scalar_field(spatial_cfg["g"], f"{path}.g"), g_lo=lo, g_hi=hi)
 
-    model = Model(alpha=alpha, order_field=order_field, a_lo=a_lo, a_hi=a_hi,
-                  spatial=spatial)
-    _validate_fields(model)
-    return model
-
-
-def _validate_fields(model: Model) -> None:
     ts, xs = _sample_grid(_VALIDATION_POINTS)
-    a_vals = model.order_field(ts, xs)
-    if np.min(a_vals) < model.a_lo or np.max(a_vals) > model.a_hi:
-        raise OrderBoundViolation(
-            "order field leaves [a_lo, a_hi] on the validation grid: "
-            f"range [{np.min(a_vals):.6g}, {np.max(a_vals):.6g}]"
-        )
-    sp = model.spatial
-    if isinstance(sp, Stable1D):
-        what, coef, lo, hi = "jump intensity", "m", sp.m_lo, sp.m_hi
-        vals = sp.m(0.0, xs)
-    else:
-        what, coef, lo, hi = "diffusion coefficient", "g", sp.g_lo, sp.g_hi
-        vals = sp.g(0.0, xs)
+    # A value that overflows or is NaN fails its range check; no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_vals, c_vals = order_field(ts, xs), getattr(spatial, coef)(0.0, xs)
+    _check_range("model.order_field", a_vals, "model.a", a_lo, a_hi, OrderBoundViolation)
+    _check_range(f"{path}.{coef}", c_vals, f"{path}.{coef}", lo, hi, BoundViolation)
+    return Model(alpha=alpha, order_field=order_field, a_lo=a_lo, a_hi=a_hi, spatial=spatial)
+
+
+def _check_range(name, vals, bounds, lo, hi, error):
+    """The sampled field values vals must lie in [lo, hi]; a NaN never does."""
     v_lo, v_hi = np.min(vals), np.max(vals)
-    if v_lo < lo or v_hi > hi:
-        raise BoundViolation(f"{what} leaves [{coef}_lo, {coef}_hi]: "
-                             f"range [{v_lo:.6g}, {v_hi:.6g}]")
+    if not lo <= v_lo <= v_hi <= hi:
+        raise error(f"{name} leaves [{bounds}_lo, {bounds}_hi] on the validation grid: "
+                    f"range [{v_lo:.6g}, {v_hi:.6g}]")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from varfrac.errors import QuadratureFailure
-from varfrac.kernels import DiffusionKernelFamily, kernel_family
+from varfrac.kernels import kernel_family
 from varfrac.model import Diffusion, Model
 
 
@@ -30,16 +30,15 @@ def apply_approx_generator(family, tau: float, f, x) -> float:
     m(x)|z|^(-1-beta) beyond B = (2 m(x) / beta)^(1/beta) and zero inside.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    model = family.model
-    if isinstance(family, DiffusionKernelFamily):
+    if isinstance(family, Diffusion):
         h = tau ** 0.5
-        a = np.sqrt(np.asarray(model.spatial.g(0.0, x[:1]), dtype=float))
+        a = np.sqrt(np.asarray(family.g(0.0, x[:1]), dtype=float))
         vals = [0.5 * (f(x + h * z) - f(x)) for z in (a, -a)]
         return float(np.asarray(sum(vals)).reshape(-1)[0]) / tau
     beta = family.beta
     h = tau ** (1.0 / beta)
     x0 = float(x[0])
-    coef = float(model.spatial.m(0.0, x0))
+    coef = float(family.m(0.0, x0))
     B = (2.0 * coef / beta) ** (1.0 / beta)
 
     def sym(z):

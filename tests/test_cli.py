@@ -151,20 +151,22 @@ _BAD_VALUES = [None, True, "x", [], [0.5], {}, -1, 0, 0.5, 2.5, math.nan, math.i
 def test_mutated_config_exits_0_2_or_3(experiment, data):
     config = {"schema_version": 1, "experiment": experiment, "seed": 3,
               "numerics": dict(_REDUCED_NUMERICS[experiment])}
-    keys = sorted(config) + ["model", "output_dir"]
-    keys += [f"numerics.{k}" for k in sorted(PRESETS[experiment]["numerics"])]
+    groups = [sorted(config) + ["model", "output_dir"],
+              [f"numerics.{k}" for k in sorted(PRESETS[experiment]["numerics"])]]
     model = PRESETS[experiment].get("model")
     if model is not None:
         # Swap in a whole model, then perhaps change one of its entries.
         model = data.draw(st.sampled_from([model, *_WHOLE_MODELS]))
         config["model"] = json.loads(json.dumps(model))
-        keys += [f"model.{k}" for k in sorted(model)]
-        keys += [f"model.spatial.{k}" for k in sorted(model["spatial"])]
-        keys += [f"model.order_field.{k}" for k in sorted(model["order_field"])]
-        keys += [f"model.spatial.{c}.{k}" for c in ("g", "m") if c in model["spatial"]
-                 for k in sorted(model["spatial"][c])]
-        keys.append(None)
-    key = data.draw(st.sampled_from(keys))
+        groups += [[f"model.{k}" for k in sorted(model)],
+                   [f"model.spatial.{k}" for k in sorted(model["spatial"])],
+                   [f"model.order_field.{k}" for k in sorted(model["order_field"])],
+                   [f"model.spatial.{c}.{k}" for c in ("g", "m") if c in model["spatial"]
+                    for k in sorted(model["spatial"][c])],
+                   [None]]
+    # The entry first, its group before its key, and the bad value second:
+    # each group, a field's parameters too, is reached as often as any other.
+    key = data.draw(st.sampled_from(groups).flatmap(st.sampled_from))
     if key is not None:
         value = data.draw(st.sampled_from(_BAD_VALUES))
         assume(not (key == "numerics" and value == {}))  # {} is the full-size preset
@@ -344,6 +346,22 @@ def test_model_outside_its_checked_range_exit_2(tmp_path, capsys, model, numeric
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# The fields repeat every 2 pi and the chain walks on the whole line, so the
+# solver is read at the grid point nearest x0 on the periodic cell: x0 and
+# x0 - 2 pi read the same point. At n_x = 32, 3.1 is nearest to index 0
+# (pi, which is -pi on the cell), not to index 31.
+@pytest.mark.parametrize("x0", [5.0, 3.1])
+def test_variable_order_reads_the_solver_at_the_periodic_grid_point(x0):
+    points = [{"x0": x, "taus": [0.1], "n_traj": [100]} for x in (x0, x0 - 2.0 * math.pi)]
+    config = experiments.validate_config({"schema_version": 1, "experiment": "variable-order",
+                                          "seed": 0, "numerics": {"n_x": 32, "n_s": 64,
+                                                                  "points": points}})
+    rows = experiments.EXPERIMENTS["variable-order"].run(config).rows
+    for quantity in ("solver_value", "solver_selfconv"):
+        here, there = (r["value"] for r in rows if r["quantity"] == quantity)
+        assert here == there
 
 
 def test_time_dependent_order_up_to_t_2_runs(tmp_path):

@@ -1,5 +1,10 @@
+import copy
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varfrac.errors import (
     BoundViolation,
@@ -7,10 +12,11 @@ from varfrac.errors import (
     DimensionUnsupported,
     NonPositiveBound,
     OrderBoundViolation,
+    VarfracError,
 )
 from varfrac.model import gamma_at, make_model, parse_scalar_field
 
-from conftest import CONSTANT_ORDER
+from conftest import CONSTANT_ORDER, STABLE_HALF, VARIABLE_ORDER
 
 
 def _cfg(**overrides):
@@ -161,3 +167,96 @@ def test_field_at_one_time_has_the_shape_of_x(field):
 def test_inputs_outside_the_model_rejected(change, error, name):
     with pytest.raises(error, match=name):
         make_model(_cfg(**change))
+
+
+_TRIG_G = {**CONSTANT_ORDER, "spatial": {"kind": "diffusion", "g_lo": 0.5, "g_hi": 1.5,
+                                         "g": {"kind": "trig", "base": 1.0, "amp": 0.5}}}
+_AFFINE_ORDER = {**CONSTANT_ORDER, "order_field": {"kind": "affine", "c0": 1.0, "ct": 0.1},
+                 "a_lo": 1.0, "a_hi": 1.2}
+
+
+# Each rejection names the full path of its entry: a missing one, an
+# unknown key or kind, a value that is not a mapping or not a number.
+@pytest.mark.parametrize("model, error, message", [
+    ({**CONSTANT_ORDER, "order_field": {"kind": "constant"}}, ConfigError,
+     "model.order_field.value is missing"),
+    ({**CONSTANT_ORDER, "spatial": {k: v for k, v in CONSTANT_ORDER["spatial"].items()
+                                    if k != "g_lo"}}, ConfigError,
+     "model.spatial.g_lo is missing"),
+    ({**_TRIG_G, "spatial": {**_TRIG_G["spatial"], "g": {"kind": "trig", "amp": 0.5}}},
+     ConfigError, "model.spatial.g.base is missing"),
+    ({**_TRIG_G, "spatial": {**_TRIG_G["spatial"], "g": {"kind": "trig", "base": 1.0,
+                                                         "amp": "x"}}},
+     ConfigError, "model.spatial.g.amp must be a number"),
+    ({**_TRIG_G, "spatial": {**_TRIG_G["spatial"], "g": {"kind": "trig", "base": 1.0,
+                                                         "amp": 0.5, "nope": 1}}},
+     ConfigError, "unknown keys ['nope'] in model.spatial.g"),
+    ({**CONSTANT_ORDER, "order_field": 1.0}, ConfigError, "model.order_field must be a mapping"),
+    ({**CONSTANT_ORDER, "order_field": {"value": 1.0}}, ConfigError,
+     "model.order_field.kind must be one of"),
+    ({**CONSTANT_ORDER, "spatial": {**STABLE_HALF["spatial"], "kind": "levy"}}, ConfigError,
+     "model.spatial.kind must be one of ['diffusion', 'stable1d'], got 'levy'"),
+    ({**STABLE_HALF, "spatial": {**STABLE_HALF["spatial"], "beta": 2.0}}, ConfigError,
+     "model.spatial.beta must be a number in (0, 2)"),
+    ({**CONSTANT_ORDER, "a_lo": None}, ConfigError, "model.a_lo must be a number"),
+    ({k: v for k, v in CONSTANT_ORDER.items() if k != "dim"}, ConfigError,
+     "model.dim is missing"),
+    ({**CONSTANT_ORDER, "extra": 1}, ConfigError, "unknown keys ['extra'] in model"),
+    ([CONSTANT_ORDER], ConfigError, "model must be a mapping"),
+    # A field that is NaN somewhere on the validation grid is outside any range.
+    ({**_AFFINE_ORDER, "order_field": {"kind": "trig", "base": 1.1, "amp": 0.1,
+                                       "freq_t": 1e308}},
+     OrderBoundViolation, "model.order_field leaves [model.a_lo, model.a_hi]"),
+    ({**_TRIG_G, "spatial": {**_TRIG_G["spatial"], "g": {"kind": "trig", "base": 1.0,
+                                                         "amp": 0.5, "freq_x": 1e308}}},
+     BoundViolation, "model.spatial.g leaves [model.spatial.g_lo, model.spatial.g_hi]"),
+])
+def test_rejection_names_the_full_path(model, error, message):
+    with pytest.raises(error) as exc:
+        make_model(model)
+    assert message in str(exc.value)
+
+
+_MODELS = [CONSTANT_ORDER, VARIABLE_ORDER, STABLE_HALF, _TRIG_G, _AFFINE_ORDER]
+_VALUES = [None, True, "x", [], [0.5], {}, {"kind": "constant"}, -1, 0, 0.5, 2.5, 10**400,
+           1e308, math.nan, math.inf]
+_KEYS = ["extra", "kind", "value", "base", "amp", "freq_x", "freq_t", "c0", "ct", "g", "m",
+         "beta", "g_lo", "m_hi", "dim"]
+
+
+def _entries(cfg, path=()):
+    """The path of every entry of cfg, nested ones too, and of cfg itself."""
+    yield path
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _entries(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+# One entry of a valid model changed, deleted or added, at any depth: the
+# model layer raises only its own errors, never a KeyError or a TypeError.
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_model_raises_only_package_errors(data):
+    cfg = copy.deepcopy(data.draw(st.sampled_from(_MODELS)))
+    path = data.draw(st.sampled_from(list(_entries(cfg))))
+    action = data.draw(st.sampled_from(["change", "delete", "add"] if path else ["change"]))
+    value = data.draw(st.sampled_from(_VALUES))
+    if path:
+        *parents, leaf = path
+        owner = cfg
+        for key in parents:
+            owner = owner[key]
+        if action == "change":
+            owner[leaf] = value
+        elif action == "delete":
+            del owner[leaf]
+        else:
+            owner[data.draw(st.sampled_from(_KEYS))] = value
+    else:
+        cfg = value
+    try:
+        make_model(cfg)
+    except VarfracError:
+        pass
