@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteFunctional, StepBudgetExceeded
+from .model import gamma_at
 from .streams import keyed_uniforms, lane_keys, uniforms  # noqa: F401 (tracers wrap it)
 
 DEFAULT_STEP_CAP = 10**8
@@ -59,7 +60,7 @@ class DensityGrid:
     n_traj: int
 
 
-def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf):
+def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap):
     """Run trajectories ids over at most _LANES lanes; return their final
     (positions, step counts) ordered like ids.
 
@@ -100,7 +101,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf):
     # array loop of the per-lane form, not its scalar power.
     per_lane = model.order_field.kind != "constant"
     if not per_lane:
-        gam = model.alpha * float(model.order_field(0.0, 0.0))
+        gam = float(gamma_at(model, 0.0, 0.0))
         scale = np.power(tau, 1.0 / np.full(1, gam))
     while len(pos):
         lanes_now = len(pos)
@@ -121,7 +122,7 @@ def _advance(model, kern, law, x0, s0, tau, seed, ids, ends, step_cap=math.inf):
         np.multiply(h_x, kern.sample(x[None], u_jump), out=path[1:])
         _running_sum(path)
         if per_lane:
-            gam = model.alpha * model.order_field(s, path[:-1])
+            gam = gamma_at(model, s, path[:-1])
             scale = np.power(tau, 1.0 / gam)
         clock = clock_buf[: (width + 1) * lanes_now].reshape(width + 1, lanes_now)
         clock[0] = s
@@ -344,10 +345,7 @@ def empirical_transition_density(x0, s0, tau, u_grid, y_edges, v_edges, n_traj, 
     for i, k in enumerate(steps):
         xs, ss = snaps[int(k)]
         xs = np.clip(xs, y_edges[0] + tiny, y_edges[-1] - tiny)
-        if np.isfinite(v_edges[-1]):
-            ss = np.clip(ss, v_edges[0], np.nextafter(v_edges[-1], -np.inf))
-        else:
-            ss = np.clip(ss, v_edges[0], None)
+        ss = np.clip(ss, v_edges[0], np.nextafter(v_edges[-1], -np.inf))
         hist, _, _ = np.histogram2d(xs, ss, bins=[y_edges, v_edges])
         counts[i] = hist.astype(np.int64)
     return DensityGrid(u_values=u_grid, y_edges=y_edges, v_edges=v_edges,

@@ -61,16 +61,15 @@ _DENSITY_U_GRID = np.concatenate([
 @dataclass(frozen=True)
 class Experiment:
     """One named experiment. `checks(rows, add)` calls add(name, passed,
-    detail) once per verdict; `model_needs` holds (need, holds(model))
-    pairs beyond make_model's checks; `check_numerics(num)` checks the
-    numerics entries that read more than one key."""
+    detail) once per verdict; `needs` holds (need, holds(model, num)) pairs,
+    what its runner assumes beyond make_model's checks and each numerics
+    entry's own rule, with model None when the experiment takes none."""
 
     preset: dict
     run: Callable  # run(config, threads) -> ExperimentOutput
     checks: Callable
     description: str  # the line `varfrac presets` prints
-    model_needs: tuple = ()
-    check_numerics: Callable = lambda num: None
+    needs: tuple
 
 
 def validate_config(config) -> dict:
@@ -106,7 +105,7 @@ def validate_config(config) -> dict:
         raise ConfigError(f"unknown numerics keys {sorted(unknown)} for {name}")
     merged["numerics"] = {**preset["numerics"], **config.get("numerics", {})}
     _check_numerics(merged["numerics"])
-    experiment.check_numerics(merged["numerics"])
+    model = None
     if "model" in merged:
         try:
             model = make_model(merged["model"])
@@ -114,12 +113,12 @@ def validate_config(config) -> dict:
             raise ConfigError(f"invalid model: {exc}; {name} needs a 1-D model") from exc
         except VarfracError as exc:
             raise ConfigError(f"invalid model: {exc}") from exc
-        for need, holds in experiment.model_needs:
-            if not holds(model):
-                raise ConfigError(f"{name} needs {need}")
         if not model.order_field.time_independent and merged["numerics"]["t"] > VALIDATED_T:
             raise ConfigError(f"a time-dependent order field is checked only for s <= "
                               f"{VALIDATED_T:g}, so t must be at most {VALIDATED_T:g}")
+    for need, holds in experiment.needs:
+        if not holds(model, merged["numerics"]):
+            raise ConfigError(f"{name} needs {need}")
     return merged
 
 
@@ -171,31 +170,6 @@ def _check_numerics(num):
     for key, (check, *args) in _NUMERICS_RULES.items():
         if key in num:
             check(key, num[key], *args)
-
-
-def _step_count(name, span, tau):
-    """round(span / tau); a ratio past the float range is rejected."""
-    try:
-        return round(span / tau)
-    except OverflowError:
-        raise ConfigError(f"{name} is not a finite step count") from None
-
-
-def _check_subordination_steps(num):
-    """ks_u is at least one step of ks_tau, and the first histogram time
-    at least 100 steps of density_tau."""
-    if _step_count("ks_u / ks_tau", num["ks_u"], num["ks_tau"]) < 1:
-        raise ConfigError("ks_u / ks_tau must round to at least 1 step")
-    u0 = float(_DENSITY_U_GRID[0])
-    if _step_count(f"{u0:g} / density_tau", u0, num["density_tau"]) < 100:
-        raise ConfigError("density_tau must give at least 100 steps at the first histogram "
-                          f"time u = {u0:g}")
-
-
-def _check_h_ladder(num):
-    """The fitted orders need a slope, so at least two distinct h."""
-    if len(set(num["h_values"])) < 2:
-        raise ConfigError("h_values must hold at least two distinct values")
 
 
 def _row(experiment, quantity, value, uncertainty=None, **params):
@@ -299,7 +273,7 @@ def run_triangulation(config, threads=1) -> ExperimentOutput:
     exact = amp * np.cos(grid.x)
     sup_err = float(np.max(np.abs(field.values[0] - exact)))
     rows.append(_row("triangulation", "solver_sup_error", sup_err, gamma=gamma))
-    i0 = int(np.argmin(np.abs(grid.x - float(num["x0"]))))
+    i0 = _periodic_index(grid, float(num["x0"]))
     rows.append(_row("triangulation", "solver_value", field.values[0, i0],
                      gamma=gamma, x0=grid.x[i0]))
     rows.append(_row("triangulation", "oracle_value", amp * math.cos(grid.x[i0]),
@@ -403,8 +377,8 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
     # exhaustive recursion vs Monte Carlo at the same resolution
     law = waiting.build_waiting_law(gamma, gamma)
     tau_l = float(num["lattice_tau"])
-    need = t / tau_l ** (1.0 / gamma)
-    dlaw = waiting.discretize_waiting_law(law, gamma, int(num["lattice_atoms"]), 1.28 * need)
+    dlaw = waiting.discretize_waiting_law(law, gamma, int(num["lattice_atoms"]),
+                                          _lattice_cap(t, tau_l, gamma))
     ones, rem = subordination.discrete_subordinated_expectation(
         model, dlaw, lambda x: np.ones_like(x), 0.0, 0.0, t, tau_l
     )
@@ -482,6 +456,15 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
     return ExperimentOutput(rows=rows, plots={"subordination_identity.svg": svg})
 
 
+def _lattice_cap(t, tau, gamma):
+    """The lattice's lump atom: 1.28 times the largest crossing draw
+    t / tau^(1/gamma), or NaN when tau^(1/gamma) leaves the float range."""
+    try:
+        return 1.28 * (t / tau ** (1.0 / gamma))
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+
+
 def run_solver_convergence(config, threads=1) -> ExperimentOutput:
     num = config["numerics"]
     model = make_model(config["model"])
@@ -518,17 +501,32 @@ def run_solver_convergence(config, threads=1) -> ExperimentOutput:
     return ExperimentOutput(rows=rows, plots={"solver_convergence.svg": svg}, field=field)
 
 
-# What a runner assumes of its model beyond make_model's checks;
-# validate_config rejects a model without it.
-_CONSTANT_ORDER = ("a constant order (a_lo == a_hi)", lambda m: m.a_lo == m.a_hi)
+# Entries of Experiment.needs.
+_CONSTANT_ORDER = ("a constant order (a_lo == a_hi)", lambda m, num: m.a_lo == m.a_hi)
 _CONSTANT_G = ("a diffusion with constant g (g_lo == g_hi)",
-               lambda m: isinstance(m.spatial, Diffusion) and m.spatial.g_lo == m.spatial.g_hi)
+               lambda m, num: isinstance(m.spatial, Diffusion)
+               and m.spatial.g_lo == m.spatial.g_hi)
 # The chain walks on the line and the solver on its periodic cell: they solve
 # one problem only if the fields have the cell's period.
 _PERIODIC = ("an order field and a spatial coefficient of period 2 pi in x (constant, "
              "affine, or trig with integer freq_x)",
-             lambda m: m.order_field.periodic
+             lambda m, num: m.order_field.periodic
              and (m.spatial.g if isinstance(m.spatial, Diffusion) else m.spatial.m).periodic)
+# A step ratio past the float range is no step count.
+_SUBORDINATION_NEEDS = (
+    ("a finite ks_u / ks_tau that rounds to at least 1 step",
+     lambda m, num: (r := num["ks_u"] / num["ks_tau"]) < math.inf and round(r) >= 1),
+    (f"a density_tau that gives a finite count of at least 100 steps at the first "
+     f"histogram time u = {_DENSITY_U_GRID[0]:g}",
+     lambda m, num: (r := float(_DENSITY_U_GRID[0]) / num["density_tau"]) < math.inf
+     and round(r) >= 100),
+    # The lump must cross from any state, which 1.28 times the largest
+    # crossing draw does, and sit past the threshold where the body starts.
+    ("a lattice_tau whose lump atom 1.28 t / lattice_tau^(1/gamma) is finite and "
+     "exceeds the tail threshold gamma^(-1/gamma)",
+     lambda m, num: m.gamma_lo ** (-1.0 / m.gamma_lo)
+     < _lattice_cap(float(num["t"]), num["lattice_tau"], m.gamma_lo) < math.inf),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +668,9 @@ EXPERIMENTS = {
                 "numerics": {"alphas": [0.3, 0.5, 0.7], "h_values": [0.1, 0.05, 0.025, 0.0125]}},
         run=run_rate_check, checks=_rate_check_checks,
         description="scaled tail functional error against its analytic bound",
-        check_numerics=_check_h_ladder),
+        # the fitted orders need a slope
+        needs=(("h_values with at least two distinct values",
+                lambda m, num: len(set(num["h_values"])) >= 2),)),
     "triangulation": Experiment(
         preset={"schema_version": 1, "experiment": "triangulation", "seed": 20240501,
                 "model": CONSTANT_ORDER_MODEL,
@@ -678,7 +678,7 @@ EXPERIMENTS = {
                              "mc_n_traj": 100000, "x0": 0.0}},
         run=run_triangulation, checks=_triangulation_checks,
         description="constant-order: solver, sampler, and quadrature vs closed form",
-        model_needs=(_CONSTANT_ORDER, _CONSTANT_G)),
+        needs=(_CONSTANT_ORDER, _CONSTANT_G)),
     "variable-order": Experiment(
         preset={"schema_version": 1, "experiment": "variable-order", "seed": 20240502,
                 "model": VARIABLE_ORDER_MODEL,
@@ -690,10 +690,9 @@ EXPERIMENTS = {
                 ]}},
         run=run_variable_order, checks=_variable_order_checks,
         description="variable-order: solver vs sampler across a step ladder",
-        model_needs=(_PERIODIC,),
-        # its self-convergence solve runs on the halved grid
-        check_numerics=lambda num: _check_grid("halved grid",
-                                               [num["n_x"] // 2, num["n_s"] // 2])),
+        needs=(_PERIODIC,
+               ("a halved grid n_x // 2 >= 3 and n_s // 2 >= 16 for its self-convergence "
+                "solve", lambda m, num: num["n_x"] // 2 >= 3 and num["n_s"] // 2 >= 16))),
     "subordination-identity": Experiment(
         preset={"schema_version": 1, "experiment": "subordination-identity", "seed": 20240503,
                 "model": CONSTANT_ORDER_MODEL,
@@ -702,15 +701,14 @@ EXPERIMENTS = {
                              "ks_u": 1.0, "density_tau": 1e-3, "density_n_traj": 100000}},
         run=run_subordination_identity, checks=_subordination_identity_checks,
         description="exhaustive recursion, marginal law, empirical quadrature",
-        model_needs=(_CONSTANT_ORDER, _CONSTANT_G),
-        check_numerics=_check_subordination_steps),
+        needs=(_CONSTANT_ORDER, _CONSTANT_G, *_SUBORDINATION_NEEDS)),
     "solver-convergence": Experiment(
         preset={"schema_version": 1, "experiment": "solver-convergence", "seed": 0,
                 "model": CONSTANT_ORDER_MODEL,
                 "numerics": {"t": 1.0, "resolutions": [[64, 128], [128, 256], [256, 512]]}},
         run=run_solver_convergence, checks=_solver_convergence_checks,
         description="grid refinement, conservation, linearity, maximum principle",
-        model_needs=(_CONSTANT_ORDER, _CONSTANT_G)),
+        needs=(_CONSTANT_ORDER, _CONSTANT_G)),
 }
 
 # Name-keyed views of the table for the benchmark (bench/workloads.py) and

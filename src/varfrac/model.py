@@ -268,7 +268,8 @@ def _sample_grid(n_points):
 def make_model(config: Mapping) -> Model:
     """Build a validated Model from a parsed configuration mapping.
 
-    Every scalar entry must be a finite number and dim the integer 1.
+    Every scalar entry must be a finite number, dim the integer 1, and the
+    spatial coefficient free of time, since every reader takes it at s = 0.
     Rejects any violation of the declared bounds: the product of
     the upper order bound with alpha must stay below 1, every lower bound
     must be strictly positive, and the coefficient fields are spot-checked
@@ -311,10 +312,13 @@ def make_model(config: Mapping) -> Model:
     else:
         spatial = Diffusion(g=parse_scalar_field(spatial_cfg["g"], f"{path}.g"), g_lo=lo, g_hi=hi)
 
+    c_field = getattr(spatial, coef)
+    if not c_field.time_independent:
+        raise ConfigError(f"{path}.{coef} must not depend on time: ct and freq_t must be 0")
     ts, xs = _sample_grid(_VALIDATION_POINTS)
     # A value that overflows or is NaN fails its range check; no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        a_vals, c_vals = order_field(ts, xs), getattr(spatial, coef)(0.0, xs)
+        a_vals, c_vals = order_field(ts, xs), c_field(0.0, xs)
     _check_range("model.order_field", a_vals, "model.a", a_lo, a_hi, OrderBoundViolation)
     _check_range(f"{path}.{coef}", c_vals, f"{path}.{coef}", lo, hi, BoundViolation)
     return Model(alpha=alpha, order_field=order_field, a_lo=a_lo, a_hi=a_hi, spatial=spatial)

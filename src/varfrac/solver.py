@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LinearSolveFailure, SingularityResolutionError
-from .model import Diffusion, Model
+from .model import Diffusion, Model, gamma_at
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def solve_terminal_problem(model: Model, F_terminal, t: float, grid: Grid) -> Fi
     term = values[n_s]
 
     def tables(j, n):
-        return _weight_tables(model.alpha * model.order_field(grid.s[j], x), n, grid.ds)
+        return _weight_tables(gamma_at(model, grid.s[j], x), n, grid.ds)
 
     time_indep = model.order_field.time_independent
     if time_indep:

@@ -46,7 +46,7 @@ def _theta_cell_weights(model: Model, t: float, v_edges: np.ndarray, y_centers: 
     centers = 0.5 * (va + vb)
     yy = np.repeat(y_centers[:, None], len(va), axis=1)
     vv = np.broadcast_to(centers[None, :], yy.shape)
-    gam = model.alpha * model.order_field(vv, yy)
+    gam = gamma_at(model, vv, yy)
     ta = np.maximum(t - va, 0.0)[None, :]
     tb = np.maximum(t - vb, 0.0)[None, :]
     integrals = (ta ** (1.0 - gam) - tb ** (1.0 - gam)) / ((1.0 - gam) * gam)
@@ -229,7 +229,7 @@ def discrete_subordinated_expectation(model: Model, dlaw: DiscretizedWaitingLaw,
     sp = model.spatial
     if not isinstance(sp, Diffusion) or sp.g_lo != sp.g_hi:
         raise ValueError("the exhaustive recursion requires constant 1-D diffusion")
-    gam = model.alpha * model.a_lo
+    gam = model.gamma_lo
     if abs(gam - dlaw.gamma) > 1e-12:
         raise ValueError("discretized law exponent does not match the model")
     h = tau ** (1.0 / gam)

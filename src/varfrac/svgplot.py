@@ -14,8 +14,6 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def _ticks_linear(lo, hi, n=6):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
@@ -34,36 +32,34 @@ def _ticks_log(lo, hi):
     return [10.0**e for e in range(lo_e, hi_e + 1)]
 
 
+def _axis(values, log, pad, start, length):
+    """(pixel map, ticks) of an axis whose transformed range, padded by
+    `pad` of its span on each side, maps onto [start, start + length]; a
+    log axis ignores values <= 0."""
+    tr = math.log10 if log else float
+    shown = [tr(v) for v in values if not log or v > 0]
+    lo, hi = min(shown), max(shown)
+    if hi == lo:
+        hi = lo + 1.0
+    margin = pad * (hi - lo)
+    lo, hi = lo - margin, hi + margin
+
+    def pixel(v):
+        return start + (tr(v) - lo) / (hi - lo) * length
+
+    if log:
+        return pixel, [v for v in _ticks_log(10**lo, 10**hi) if lo <= math.log10(v) <= hi]
+    return pixel, _ticks_linear(lo, hi)
+
+
 def line_plot(series, title="", xlabel="", ylabel="", log_x=False, log_y=False):
     """Render series = [(label, xs, ys), ...] to an SVG string."""
     pts = [(float(x), float(y)) for _, xs, ys in series for x, y in zip(xs, ys)]
     if not pts:
         raise ValueError("nothing to plot")
-
-    def tx(v):
-        return math.log10(v) if log_x else v
-
-    def ty(v):
-        return math.log10(v) if log_y else v
-
-    xs_all = [tx(x) for x, _ in pts if (not log_x or x > 0)]
-    ys_all = [ty(y) for _, y in pts if (not log_y or y > 0)]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    padx = 0.05 * (x_hi - x_lo)
-    pady = 0.08 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - padx, x_hi + padx
-    y_lo, y_hi = y_lo - pady, y_hi + pady
-
-    def px(v):
-        return _ML + (tx(v) - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
-
-    def py(v):
-        return _H - _MB - (ty(v) - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+    px, tick_x = _axis([x for x, _ in pts], log_x, 0.05, _ML, _W - _ML - _MR)
+    # pixel y grows downward: the y axis runs up from the bottom margin
+    py, tick_y = _axis([y for _, y in pts], log_y, 0.08, _H - _MB, -(_H - _MT - _MB))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -77,20 +73,12 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False, log_y=False):
         'fill="none" stroke="black"/>'
     )
     # ticks
-    if log_x:
-        tick_x = [v for v in _ticks_log(10**x_lo, 10**x_hi) if x_lo <= math.log10(v) <= x_hi]
-    else:
-        tick_x = _ticks_linear(x_lo, x_hi)
     for v in tick_x:
         x = px(v)
         parts.append(f'<line x1="{x:.1f}" y1="{_H - _MB}" x2="{x:.1f}" y2="{_H - _MB + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{x:.1f}" y="{_H - _MB + 18}" text-anchor="middle" font-size="11">{v:.3g}</text>'
         )
-    if log_y:
-        tick_y = [v for v in _ticks_log(10**y_lo, 10**y_hi) if y_lo <= math.log10(v) <= y_hi]
-    else:
-        tick_y = _ticks_linear(y_lo, y_hi)
     for v in tick_y:
         y = py(v)
         parts.append(f'<line x1="{_ML - 5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="black"/>')

@@ -266,8 +266,9 @@ _DIM2_MODEL = {**PRESETS["triangulation"]["model"], "dim": 2}
 
 # A wrong type, a non-finite value or a missing bound in any model entry,
 # nested ones too, must stop the run before any output exists, naming the
-# entry. So must a dim other than 1, a list where a number goes, and a key
-# or a field kind outside the schema (g_matrix, cx, bump, a list as a kind).
+# entry. So must a dim other than 1, a list where a number goes, a key or a
+# field kind outside the schema (g_matrix, cx, bump, a list as a kind), and a
+# spatial coefficient that moves in time.
 @pytest.mark.parametrize("key, change", [
     ("a_lo", {"a_lo": math.nan}),
     ("a_hi", {"a_hi": math.nan}),
@@ -288,6 +289,8 @@ _DIM2_MODEL = {**PRESETS["triangulation"]["model"], "dim": 2}
     ("cx", {"order_field": {"kind": "affine", "c0": 1.0, "cx": 0.0}}),
     ("g_matrix", {"spatial": {**_DIFFUSION, "g_matrix": [[1.0, 0.0], [0.0, 1.0]]}}),
     ("kind", {"order_field": {"kind": []}}),
+    ("model.spatial.g", {"spatial": {**_DIFFUSION, "g": {"kind": "affine", "c0": 1.0,
+                                                         "ct": 5.0}}}),
 ])
 def test_bad_model_value_exit_2(tmp_path, capsys, key, change):
     model = {**PRESETS["triangulation"]["model"], **change}
@@ -362,6 +365,18 @@ def test_variable_order_reads_the_solver_at_the_periodic_grid_point(x0):
     for quantity in ("solver_value", "solver_selfconv"):
         here, there = (r["value"] for r in rows if r["quantity"] == quantity)
         assert here == there
+
+
+# Triangulation reads its solver rows by the same periodic rule.
+def test_triangulation_reads_the_solver_at_the_periodic_grid_point():
+    rows = []
+    for x0 in (5.0, 5.0 - 2.0 * math.pi):
+        config = experiments.validate_config({
+            "schema_version": 1, "experiment": "triangulation", "seed": 0,
+            "numerics": {"n_x": 32, "n_s": 64, "mc_tau": 1e-2, "mc_n_traj": 100, "x0": x0}})
+        rows.append([r for r in experiments.EXPERIMENTS["triangulation"].run(config).rows
+                     if r["quantity"] in ("solver_value", "oracle_value")])
+    assert len(rows[0]) == 2 and rows[0] == rows[1]
 
 
 def test_time_dependent_order_up_to_t_2_runs(tmp_path):
@@ -456,6 +471,32 @@ def test_bad_numerics_exit_2(tmp_path, capsys, experiment, numerics, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+_SMALL_SUBORDINATION = {"lattice_n_traj": 100, "ks_n_traj": 100, "density_n_traj": 100}
+
+
+# The lattice's lump atom 1.28 t / lattice_tau^(1/gamma) must be finite and
+# exceed the tail threshold gamma^(-1/gamma): at gamma = 0.5 and t = 1 that
+# is lattice_tau < 0.566. Past it, or when lattice_tau^(1/gamma) underflows,
+# the run stops before any work.
+@pytest.mark.parametrize("lattice_tau", [0.57, 1e-200])
+def test_lattice_tau_outside_its_lattice_exit_2(tmp_path, capsys, lattice_tau):
+    cfg = _write(tmp_path, "bad.json", {
+        "schema_version": 1, "experiment": "subordination-identity", "seed": 0,
+        "numerics": {**_SMALL_SUBORDINATION, "lattice_tau": lattice_tau}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "subordination-identity needs" in err and "lattice_tau" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_lattice_tau_inside_its_lattice_runs(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", {
+        "schema_version": 1, "experiment": "subordination-identity", "seed": 0,
+        "numerics": {**_SMALL_SUBORDINATION, "lattice_tau": 0.56}})
+    assert main(["run", str(cfg), "--threads", "1", "--out", str(tmp_path / "o")]) == 0
 
 
 def test_runner_value_error_exit_2(tmp_path, capsys):

@@ -210,6 +210,15 @@ _AFFINE_ORDER = {**CONSTANT_ORDER, "order_field": {"kind": "affine", "c0": 1.0, 
     ({**_TRIG_G, "spatial": {**_TRIG_G["spatial"], "g": {"kind": "trig", "base": 1.0,
                                                          "amp": 0.5, "freq_x": 1e308}}},
      BoundViolation, "model.spatial.g leaves [model.spatial.g_lo, model.spatial.g_hi]"),
+    # Every reader of a spatial field takes it at s = 0, so one that moves in
+    # time is rejected, even when its values at s = 0 fit the bounds.
+    ({**CONSTANT_ORDER, "spatial": {**CONSTANT_ORDER["spatial"],
+                                    "g": {"kind": "affine", "c0": 1.0, "ct": 5.0}}},
+     ConfigError, "model.spatial.g must not depend on time"),
+    ({**STABLE_HALF, "spatial": {**STABLE_HALF["spatial"],
+                                 "m": {"kind": "trig", "base": 0.25, "amp": 0.0,
+                                       "freq_t": 1.0}}},
+     ConfigError, "model.spatial.m must not depend on time"),
 ])
 def test_rejection_names_the_full_path(model, error, message):
     with pytest.raises(error) as exc:
