@@ -300,7 +300,7 @@ def run_triangulation(config, threads=1) -> ExperimentOutput:
     rows.append(_row("triangulation", "mc_ones", est1.mean, est1.std_error,
                      gamma=gamma, tau=num["mc_tau"]))
 
-    G = subordination.frozen_density(model, float(num["x0"]), 0.0)
+    G = subordination.frozen_density(model, float(num["x0"]), 0.0, threads=threads)
     sub_cos, sub_one = subordination.subordinated_expectation(
         model, G, (np.cos, lambda y: np.ones_like(y)), float(num["x0"]), 0.0, t
     )
@@ -407,7 +407,7 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
     )
     _, ss = snaps[steps]
     ss = np.sort(ss)
-    cdf = oracles.subordinator_cdf(gamma, float(num["ks_u"]), ss)
+    cdf = oracles.subordinator_cdf(gamma, float(num["ks_u"]), ss, threads=threads)
     n = len(ss)
     idx = np.arange(1, n + 1)
     ks = max(float(np.max(np.abs(cdf - idx / n))), float(np.max(np.abs(cdf - (idx - 1) / n))))
@@ -425,7 +425,7 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
         model=model, kernel_family=fam, law=law, threads=threads,
     )
     r_one, r_cos = subordination.subordinated_expectation(
-        model, G, (lambda y: np.ones_like(y), np.cos), 0.0, 0.0, t
+        model, G, (lambda y: np.ones_like(y), np.cos), 0.0, 0.0, t, threads=threads
     )
     rows.append(_row("subordination-identity", "empirical_ones", r_one.value, r_one.band,
                      gamma=gamma, tau=tau_d, n=G.n_traj))
@@ -434,7 +434,7 @@ def run_subordination_identity(config, threads=1) -> ExperimentOutput:
     amp = oracles.constant_order_solution(gamma, 1.0, t, g)
     rows.append(_row("subordination-identity", "oracle_value", amp, gamma=gamma))
 
-    y_c, dens, _ = subordination.subordinated_density(model, G, 0.0, 0.0, t)
+    y_c, dens, _ = subordination.subordinated_density(model, G, 0.0, 0.0, t, threads=threads)
     fine_per = 16
     fine = np.linspace(y_edges[0], y_edges[-1], (len(y_edges) - 1) * fine_per + 1)
     qf = oracles.time_changed_gaussian_density(gamma, g, 0.0, t, fine)

@@ -273,8 +273,9 @@ def make_model(config: Mapping) -> Model:
     Rejects any violation of the declared bounds: the product of
     the upper order bound with alpha must stay below 1, every lower bound
     must be strictly positive, and the coefficient fields are spot-checked
-    on a dense grid of s in [0, VALIDATED_T] and x in the solver's cell
-    against their declared ranges (hard reject, no tolerance). Each
+    on a dense grid of s in [0, VALIDATED_T] and x in the solver's cell,
+    and a trig field also at its exact extremes, against their declared
+    ranges (hard reject, no tolerance). Each
     rejection names the entry's path, such as model.spatial.g.amp.
     """
     config = read_mapping("model", config, _MODEL_KEYS)
@@ -318,15 +319,31 @@ def make_model(config: Mapping) -> Model:
     ts, xs = _sample_grid(_VALIDATION_POINTS)
     # A value that overflows or is NaN fails its range check; no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        a_vals, c_vals = order_field(ts, xs), c_field(0.0, xs)
+        a_vals = np.concatenate([order_field(ts, xs), _trig_extremes(order_field)])
+        c_vals = np.concatenate([c_field(0.0, xs), _trig_extremes(c_field)])
     _check_range("model.order_field", a_vals, "model.a", a_lo, a_hi, OrderBoundViolation)
     _check_range(f"{path}.{coef}", c_vals, f"{path}.{coef}", lo, hi, BoundViolation)
     return Model(alpha=alpha, order_field=order_field, a_lo=a_lo, a_hi=a_hi, spatial=spatial)
 
 
+def _trig_extremes(field):
+    """A trig field's exact least and greatest values over the validated
+    region, which the grid can miss (it sees only base when freq_x is a
+    multiple of its spacing): base +- |amp| S, where sin(freq_x x) on
+    [-pi, pi] reaches S = 1 once |freq_x| >= 1/2 and sin(|freq_x| pi) below
+    that; cos(freq_t t) is 1 at t = 0. Empty for the other kinds."""
+    if field.kind != "trig":
+        return np.empty(0)
+    c = field._coef
+    f = abs(c["freq_x"])
+    reach = abs(c["amp"]) * (1.0 if f >= 0.5 else math.sin(f * math.pi))
+    return np.array([c["base"] - reach, c["base"] + reach])
+
+
 def _check_range(name, vals, bounds, lo, hi, error):
-    """The sampled field values vals must lie in [lo, hi]; a NaN never does."""
+    """The field values vals, sampled and extreme, must lie in [lo, hi]; a
+    NaN never does."""
     v_lo, v_hi = np.min(vals), np.max(vals)
     if not lo <= v_lo <= v_hi <= hi:
-        raise error(f"{name} leaves [{bounds}_lo, {bounds}_hi] on the validation grid: "
-                    f"range [{v_lo:.6g}, {v_hi:.6g}]")
+        raise error(f"{name} leaves [{bounds}_lo, {bounds}_hi] on the validation grid or at "
+                    f"its extremes: range [{v_lo:.6g}, {v_hi:.6g}]")

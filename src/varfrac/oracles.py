@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyLoss, InversionFailure, QuadratureFailure
+from .workers import _map_ranges
 
 _ML_MAX_ABS = 50.0
 _ML_INTEGRAL_GAMMA_MAX = 0.97
@@ -137,8 +138,9 @@ def constant_order_solution(gamma: float, k: float, sigma: float, c: float = 1.0
 # fixed Talbot inversion of the increasing coordinate's transforms
 # ---------------------------------------------------------------------------
 
-# Complex values held at once per contour evaluation; bounds the slab when
-# both the time parameter and the level are vectors.
+# Contour values held at once: _talbot evaluates its nodes in slabs of at
+# most this many, cut along the levels as well as along s, so one inversion's
+# working memory is a few slabs whatever the numbers of s and levels.
 _SLAB = 1 << 16
 
 
@@ -162,64 +164,90 @@ def _talbot_nodes(degree: int):
 
 
 def _talbot(gamma, s, level, cdf, degree):
+    """Values at the points of s (1-D) by level (1-D) at one degree, one slab
+    of at most _SLAB contour values at a time. Every value is elementwise in
+    its (s, level) point, so the slabs do not change its bits."""
     delta, gam = _talbot_nodes(degree)
-    p = delta / level[..., None]
-    psi = laplace_exponent(gamma, p)
-    out = np.empty((s.size,) + level.shape)
-    rows = max(1, _SLAB // p.size)
+    out = np.empty((s.size, level.size))
+    cols = max(1, _SLAB // degree)
+    rows = max(1, _SLAB // (min(cols, level.size) * degree))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for lo in range(0, s.size, rows):
-            sb = s.reshape((-1,) + (1,) * p.ndim)[lo : lo + rows]
-            # With one s the slab overwrites psi: the two never coexist.
-            terms = np.multiply(-sb, psi, out=psi[None] if s.size == 1 else None)
-            np.exp(terms, out=terms)
-            if cdf:
-                np.divide(terms, p, out=terms)
-            np.multiply(gam, terms, out=terms)
-            val = (0.4 / level) * np.sum(terms, axis=-1).real
-            # Divergent contour: individual terms dwarf any probability-scale
-            # value the inversions here can take.
-            bad = ~np.isfinite(val) | (np.nanmax(np.abs(terms), axis=-1) * 0.4 / level > 1e12)
-            out[lo : lo + rows] = np.where(bad, 0.0, val)
-    return out.reshape(s.shape + level.shape)
+        for j in range(0, level.size, cols):
+            lv = level[j : j + cols]
+            p = delta / lv[:, None]
+            psi = laplace_exponent(gamma, p)
+            for i in range(0, s.size, rows):
+                # With one s the slab overwrites psi: the two never coexist.
+                terms = np.multiply(-s[i : i + rows, None, None], psi,
+                                    out=psi[None] if s.size == 1 else None)
+                np.exp(terms, out=terms)
+                if cdf:
+                    np.divide(terms, p, out=terms)
+                np.multiply(gam, terms, out=terms)
+                val = (0.4 / lv) * np.sum(terms, axis=-1).real
+                # Divergent contour: individual terms dwarf any
+                # probability-scale value the inversions here can take.
+                bad = ~np.isfinite(val) | (np.nanmax(np.abs(terms), axis=-1) * 0.4 / lv > 1e12)
+                out[i : i + rows, j : j + cols] = np.where(bad, 0.0, val)
+    return out
 
 
-def invert_laplace(gamma: float, s, level, cdf=False, check_degree=44):
+def invert_laplace(gamma: float, s, level, cdf=False, check_degree=44, threads=1):
     """Density of S_s at each level, or with cdf=True P(S_s <= level), by
     fixed Talbot inversion of exp(-s psi(lam)) (divided by lam for the CDF),
     psi being `laplace_exponent`.
 
     s and level are each a scalar or 1-D; the result has shape
-    s.shape + level.shape. psi is evaluated once per degree on the nodes
-    delta/level. Degree 32 and check_degree both run and must agree within
-    1e-6, else InversionFailure; the check_degree values are returned. Where
-    the contour integrand overflows the value is 0: for these completely
-    monotone transforms that happens only at levels far below S_s's scale,
-    where the true value is superexponentially small.
+    s.shape + level.shape. Degree 32 and check_degree both run and must
+    agree within 1e-6 at every point, else InversionFailure; the
+    check_degree values are returned. Where the contour integrand overflows
+    the value is 0: for these completely monotone transforms that happens
+    only at levels far below S_s's scale, where the true value is
+    superexponentially small.
+
+    Working memory is bounded by a few slabs of _SLAB contour values besides
+    the two result arrays. The points (the s rows, or the levels when s is
+    a single value) are cut into min(threads, usable CPUs, ...) contiguous
+    ranges, forked as the chain's are, but only so many that every range
+    holds at least one full slab at check_degree. Each range returns both
+    degrees' values and the gap is taken here over all points, so the
+    result and any InversionFailure are the same at every threads.
     """
     s = np.asarray(s, dtype=float)
     level = np.asarray(level, dtype=float)
     if np.any(level <= 0.0):
         raise InversionFailure("Talbot inversion requires strictly positive levels")
-    a = _talbot(gamma, s, level, cdf, 32)
-    b = _talbot(gamma, s, level, cdf, check_degree)
+    s_pts, lv_pts = s.reshape(-1), level.reshape(-1)
+    along_s = s_pts.size > 1
+    n, point_values = ((s_pts.size, lv_pts.size * check_degree) if along_s
+                       else (lv_pts.size, check_degree))
+    per_slab = -(-_SLAB // point_values)  # points that fill one slab
+
+    def degrees(ids):
+        ss, lv = (s_pts[ids], lv_pts) if along_s else (s_pts, lv_pts[ids])
+        return _talbot(gamma, ss, lv, cdf, 32), _talbot(gamma, ss, lv, cdf, check_degree)
+
+    parts = _map_ranges(degrees, n, min(threads, max(1, n // per_slab)))
+    a, b = (np.concatenate([part[d] for part in parts], axis=0 if along_s else 1)
+            for d in (0, 1))
     gap = np.max(np.abs(a - b), initial=0.0)
     if gap > 1e-6:
         raise InversionFailure(f"Talbot degrees 32/{check_degree} disagree by {gap:.3g}")
-    return b
+    return b.reshape(s.shape + level.shape)
 
 
-def subordinator_cdf(gamma: float, s, v) -> np.ndarray:
+def subordinator_cdf(gamma: float, s, v, threads=1) -> np.ndarray:
     """P(S_s <= v) for the increasing coordinate with jump density r^(-1-gamma).
 
     s is a scalar or 1-D; the result has shape s.shape + v.shape. Accuracy
-    ~1e-6; values are clipped to [0, 1].
+    ~1e-6; values are clipped to [0, 1]. threads is the worker count of
+    `invert_laplace`; no value depends on it.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     out = np.zeros(np.shape(s) + v.shape)
     pos = v > 0.0
     if np.any(pos):
-        out[..., pos] = invert_laplace(gamma, s, v[pos], cdf=True)
+        out[..., pos] = invert_laplace(gamma, s, v[pos], cdf=True, threads=threads)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -248,13 +276,15 @@ class ConstantOrderDensity:
     differences), so quadratures against it need not sample the near-origin
     density spike; `subordination` takes the y masses one u at a time, the v
     masses for all its u nodes in one call, and searches its u range through
-    the v mass below the crossing level.
+    the v mass below the crossing level. threads is the worker count of its
+    v-mass inversions; no mass depends on it.
     """
 
     gamma: float
     g0: float
     x0: float
     s0: float
+    threads: int = 1
 
     def y_cell_masses(self, u: float, y_edges: np.ndarray) -> np.ndarray:
         from scipy.special import ndtr
@@ -265,7 +295,8 @@ class ConstantOrderDensity:
 
     def v_cell_masses(self, u, v_edges: np.ndarray) -> np.ndarray:
         """Masses of the v cells; u is a scalar or 1-D (one row per u)."""
-        cdf = subordinator_cdf(self.gamma, u, np.asarray(v_edges, dtype=float) - self.s0)
+        cdf = subordinator_cdf(self.gamma, u, np.asarray(v_edges, dtype=float) - self.s0,
+                               threads=self.threads)
         return np.maximum(np.diff(cdf, axis=-1), 0.0)
 
 

@@ -62,7 +62,7 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def subordinated_expectation(
-    model: Model, G, Fs, x0, s0, t
+    model: Model, G, Fs, x0, s0, t, threads=1
 ) -> tuple[SubordinationResult, ...]:
     """E[F at the horizon] for each F of the sequence Fs, as the triple
     quadrature
@@ -72,26 +72,29 @@ def subordinated_expectation(
     (its own axes are used) or an analytic object with
     .y_cell_masses(u, y_edges) and .v_cell_masses(u_vector, v_edges)
     (quadrature axes built here from _N_V, _N_Y and _N_U). G is read once
-    for all of Fs; one result per F, in the order of Fs.
+    for all of Fs; one result per F, in the order of Fs. threads is the
+    worker count of the frozen-density head's inversions under an empirical
+    G; no value depends on it.
     """
     Fs = tuple(Fs)
     if not Fs:
         raise ValueError("subordinated_expectation needs at least one functional")
     parts = _time_change(model, G, Fs, x0, s0, t,
-                         *_axes(model, G, x0, s0, t, _N_V, _N_Y, _N_U))
+                         *_axes(model, G, x0, s0, t, _N_V, _N_Y, _N_U), threads=threads)
     return tuple(SubordinationResult(value=float(v), band=float(b)) for v, b in parts)
 
 
-def subordinated_density(model: Model, G, x0, s0, t):
+def subordinated_density(model: Model, G, x0, s0, t, threads=1):
     """Density of the walk position at the horizon over the y bins of G (or
     of the quadrature axes for an analytic G).
 
     Returns (y_centers, density values, band per point). Same quadrature as
     the expectation with F replaced by each bin's indicator over its width;
-    the output integrates to 1 within the grid's resolution.
+    the output integrates to 1 within the grid's resolution. threads is as
+    in `subordinated_expectation`.
     """
     axes = _axes(model, G, x0, s0, t, _N_V, _N_Y, _N_U)
-    [(dens, band)] = _time_change(model, G, None, x0, s0, t, *axes)
+    [(dens, band)] = _time_change(model, G, None, x0, s0, t, *axes, threads=threads)
     y_edges = axes[0]
     return 0.5 * (y_edges[:-1] + y_edges[1:]), dens, band
 
@@ -117,7 +120,7 @@ def _axes(model, G, x0, s0, t, n_v, n_y, n_u, u_max=None):
     return y_edges, np.linspace(s0, t, n_v + 1), u_max, n_u
 
 
-def _time_change(model, G, Fs, x0, s0, t, y_edges, v_edges, u_max, n_u):
+def _time_change(model, G, Fs, x0, s0, t, y_edges, v_edges, u_max, n_u, threads=1):
     """Integral over u of the u-integrand: the first moment of the theta
     weight under the pair law G(u; y, v), weighted over y by each F of the
     tuple Fs, or with Fs None by each bin's indicator over its width (one
@@ -157,7 +160,7 @@ def _time_change(model, G, Fs, x0, s0, t, y_edges, v_edges, u_max, n_u):
                 var_c.append(np.maximum(second - first * first, 0.0) / G.n_traj / dy**2)
         # The frozen-coefficient head covers [0, u_1]. Each output keeps its
         # own head axes: the density the histogram's y bins.
-        bridge = frozen_density(model, x0, s0)
+        bridge = frozen_density(model, x0, s0, threads=threads)
         u1 = float(G.u_values[0])
         if Fs is None:
             head_axes = (y_edges, np.linspace(s0, t, 129), u1, 65)
@@ -185,14 +188,14 @@ def _time_change(model, G, Fs, x0, s0, t, y_edges, v_edges, u_max, n_u):
             for val in vals]
 
 
-def frozen_density(model, x0, s0):
+def frozen_density(model, x0, s0, threads=1):
     """Short-time pair density of a 1-D diffusion model with coefficients
     frozen at the start state; exact for constant coefficients, first-order
-    accurate otherwise."""
+    accurate otherwise. Its v masses invert with `threads` workers."""
     x0f = float(np.atleast_1d(x0)[0])
     gam0 = float(gamma_at(model, s0, x0f))
     g0 = float(np.atleast_1d(model.spatial.g(0.0, np.atleast_1d(x0f)))[0])
-    return ConstantOrderDensity(gamma=gam0, g0=g0, x0=x0f, s0=float(s0))
+    return ConstantOrderDensity(gamma=gam0, g0=g0, x0=x0f, s0=float(s0), threads=threads)
 
 
 def _find_u_max(G, s0, t):

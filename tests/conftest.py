@@ -25,6 +25,11 @@ VARIABLE_ORDER = {
     "dim": 1,
 }
 
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+two_workers = pytest.mark.skipif(USABLE_CPUS < 2 or not hasattr(os, "fork"),
+                                 reason="one usable CPU: every call runs one range")
+
 STABLE_HALF = {
     "alpha": 0.5,
     "order_field": {"kind": "constant", "value": 1.0},

@@ -140,6 +140,21 @@ def test_results_golden_digest(tmp_path, capsys, experiment):
             == _VERDICTS_SHA256[experiment])
 
 
+def test_subordination_identity_results_identical_across_threads(tmp_path):
+    # Its KS inversion (one s over 20,000 levels) splits along the levels and
+    # its frozen-density heads along s; no byte may move.
+    cfg = _write(tmp_path, "cfg.json", {
+        "schema_version": 1, "experiment": "subordination-identity", "seed": 3,
+        "numerics": {"lattice_n_traj": 20_000, "ks_n_traj": 20_000,
+                     "density_n_traj": 20_000}})
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        assert main(["run", str(cfg), "--threads", str(threads), "--out", str(out)]) == 0
+        outputs.append((out / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # Wrong types and out-of-range values; none of them makes a run larger than
 # the reduced one it replaces a value of.
 _BAD_VALUES = [None, True, "x", [], [0.5], {}, -1, 0, 0.5, 2.5, math.nan, math.inf]
@@ -348,6 +363,20 @@ def test_model_outside_its_checked_range_exit_2(tmp_path, capsys, model, numeric
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_order_field_beyond_its_bounds_between_grid_points_exit_2(tmp_path, capsys):
+    # At freq_x 99 the order field is its base 1 at every validation grid
+    # point, but its true range [0.5, 1.5] takes gamma = 0.95 a to 1.425.
+    model = {**_VARORDER, "alpha": 0.95, "a_lo": 0.99, "a_hi": 1.01,
+             "order_field": {"kind": "trig", "base": 1, "amp": 0.5, "freq_x": 99}}
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "variable-order",
+                                        "seed": 0, "model": model})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "model.order_field leaves [model.a_lo, model.a_hi]" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -111,6 +111,23 @@ def test_spatial_field_outside_declared_range_rejected():
         make_model(cfg)
 
 
+# The validation grid's x points are 2 pi / 99 apart, so a trig field of
+# freq_x 99 equals its base at every one of them; its exact extremes base +-
+# |amp| still count.
+def test_trig_field_checked_at_its_exact_extremes():
+    grid_blind = {"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 99.0}
+    with pytest.raises(OrderBoundViolation, match=r"range \[0\.5, 1\.5\]"):
+        make_model(_cfg(alpha=0.95, a_lo=0.99, a_hi=1.01, order_field=grid_blind))
+    with pytest.raises(BoundViolation, match=r"range \[0\.5, 1\.5\]"):
+        make_model(_cfg(spatial={"kind": "diffusion", "g": grid_blind,
+                                 "g_lo": 0.99, "g_hi": 1.01}))
+    # Below |freq_x| = 1/2 the extremes are base +- |amp| sin(|freq_x| pi),
+    # here 1 +- 0.354, well inside 1 +- |amp|.
+    slow = {"kind": "trig", "base": 1.0, "amp": -0.5, "freq_x": 0.25}
+    reach = 0.5 * math.sin(0.25 * math.pi) + 1e-9
+    make_model(_cfg(alpha=0.4, a_lo=1.0 - reach, a_hi=1.0 + reach, order_field=slow))
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         make_model(_cfg(extra_knob=1))

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from scipy.special import erfc, erfcinv, erfcx
 
 from varfrac import oracles
 from varfrac.errors import AccuracyLoss, InversionFailure
+
+from conftest import two_workers
 
 # Frozen reference constants, each computed from a closed form independent of
 # the code paths under test.
@@ -224,3 +229,86 @@ def test_subordinator_density_degree_disagreement_raises():
     # about -1.7e8; the degree-32 check refuses it instead of clamping to 0.
     with pytest.raises(InversionFailure):
         oracles.subordinator_density(0.75, 2.0, np.array([1.556923076923077]))
+
+
+# Points of one full slab at the default check degree 44 when s is a single
+# value (one level each).
+_LEVELS_PER_SLAB = -(-oracles._SLAB // 44)
+
+# Inversion shapes of the runs: the triangulation's (256 u nodes by 512 v
+# levels, cut along s; its nodes from u = 0.01, where the density passes the
+# degree check too), the KS check's (one s over 33,333 levels, cut along the
+# levels) and one whose ranges differ in size (101 rows).
+_SPLIT_SHAPES = {
+    "triangulation": (np.linspace(0.1, 1.5, 256) ** 2, np.linspace(0.0, 1.0, 513)[1:]),
+    "ks": (1.0, np.geomspace(1e-2, 1e6, 33_333)),
+    "uneven": (np.linspace(0.05, 2.0, 101), np.linspace(0.02, 30.0, 700)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SPLIT_SHAPES))
+def test_split_inversions_keep_the_bytes(shape):
+    s, levels = _SPLIT_SHAPES[shape]
+    G = oracles.ConstantOrderDensity(gamma=0.5, g0=1.0, x0=0.0, s0=0.0)
+    v_edges = np.concatenate([[0.0], levels])
+
+    def outputs(threads):
+        return (oracles.subordinator_cdf(0.5, s, levels, threads=threads),
+                dataclasses.replace(G, threads=threads).v_cell_masses(s, v_edges),
+                oracles.invert_laplace(0.5, s, levels, threads=threads))
+
+    one = [a.tobytes() for a in outputs(1)]
+    for threads in (2, 3):
+        assert [a.tobytes() for a in outputs(threads)] == one
+
+
+def test_call_below_one_slab_per_worker_never_forks(monkeypatch):
+    def fork():
+        raise AssertionError("forked below one slab per worker")
+
+    monkeypatch.setattr(os, "fork", fork)
+    oracles.subordinator_cdf(0.5, 1.0, np.linspace(0.1, 30.0, 2 * _LEVELS_PER_SLAB - 1),
+                             threads=2)
+    # A row of 512 levels holds 512 * 44 values, so a slab takes 3 rows.
+    oracles.subordinator_cdf(0.5, np.linspace(0.1, 1.0, 5), np.linspace(0.0, 1.0, 513)[1:],
+                             threads=2)
+
+
+@two_workers
+def test_call_of_one_slab_per_worker_forks(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    oracles.subordinator_cdf(0.5, 1.0, np.linspace(0.1, 30.0, 2 * _LEVELS_PER_SLAB), threads=2)
+    assert len(forks) == 1
+
+
+def test_degree_gap_in_a_worker_range_reads_the_same_at_any_threads():
+    # At gamma = 0.6 and s = 2 the level 0.05 fails the 32/44 check; it is
+    # the last level, so at two workers it lies in the forked range.
+    levels = np.concatenate([np.linspace(1.0, 30.0, 2 * _LEVELS_PER_SLAB - 1), [0.05]])
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(InversionFailure) as exc:
+            oracles.invert_laplace(0.6, 2.0, levels, cdf=True, threads=threads)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == "Talbot degrees 32/44 disagree by 5.95e+05"
+
+
+def test_one_s_over_many_levels_holds_a_few_slabs():
+    # The KS check's call: its working memory is a few slabs of contour
+    # values, not one value per level and node.
+    levels = np.geomspace(1e-2, 1e6, 33_333)
+    oracles.subordinator_cdf(0.5, 1.0, levels[:1])  # imports and node tables
+    tracemalloc.start()
+    try:
+        oracles.subordinator_cdf(0.5, 1.0, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
