@@ -15,7 +15,7 @@ class SchemaMismatch(ConfigError):
 
 class OrderBoundViolation(VarfracError):
     """Order-field bounds are inconsistent (product with the base index >= 1,
-    or sampled values escape the declared range)."""
+    or the field's extremes escape the declared range)."""
 
 
 class NonPositiveBound(VarfracError):
@@ -27,12 +27,12 @@ class DimensionUnsupported(VarfracError):
 
 
 class BoundViolation(VarfracError):
-    """A sampled coefficient field escapes its declared range."""
+    """A coefficient field's extremes escape its declared range."""
 
 
 class InvalidTailMass(VarfracError):
-    """A tail threshold makes the power tail carry more than unit mass, or
-    forces the head density above 1."""
+    """A tail threshold makes the power tail carry more than unit mass,
+    forces the head density above 1, or leaves the float range."""
 
 
 class QuadratureFailure(VarfracError):

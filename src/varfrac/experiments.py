@@ -512,6 +512,11 @@ _PERIODIC = ("an order field and a spatial coefficient of period 2 pi in x (cons
              "affine, or trig with integer freq_x)",
              lambda m, num: m.order_field.periodic
              and (m.spatial.g if isinstance(m.spatial, Diffusion) else m.spatial.m).periodic)
+# The waiting law's threshold gamma^(-1/gamma) at the lowest exponent must
+# be a float, so that the law can be built.
+_THRESHOLD = ("a lowest exponent alpha * a_lo whose tail threshold gamma^(-1/gamma) is finite "
+              "(gamma above about 0.00699)",
+              lambda m, num: waiting.tail_threshold(m.gamma_lo, m.gamma_hi) < math.inf)
 # A step ratio past the float range is no step count.
 _SUBORDINATION_NEEDS = (
     ("a finite ks_u / ks_tau that rounds to at least 1 step",
@@ -524,7 +529,7 @@ _SUBORDINATION_NEEDS = (
     # crossing draw does, and sit past the threshold where the body starts.
     ("a lattice_tau whose lump atom 1.28 t / lattice_tau^(1/gamma) is finite and "
      "exceeds the tail threshold gamma^(-1/gamma)",
-     lambda m, num: m.gamma_lo ** (-1.0 / m.gamma_lo)
+     lambda m, num: waiting.tail_threshold(m.gamma_lo, m.gamma_lo)
      < _lattice_cap(float(num["t"]), num["lattice_tau"], m.gamma_lo) < math.inf),
 )
 
@@ -670,7 +675,11 @@ EXPERIMENTS = {
         description="scaled tail functional error against its analytic bound",
         # the fitted orders need a slope
         needs=(("h_values with at least two distinct values",
-                lambda m, num: len(set(num["h_values"])) >= 2),)),
+                lambda m, num: len(set(num["h_values"])) >= 2),
+               ("alphas whose tail thresholds alpha^(-1/alpha) are finite (each above "
+                "about 0.00699)",
+                lambda m, num: all(waiting.tail_threshold(a, a) < math.inf
+                                   for a in num["alphas"])))),
     "triangulation": Experiment(
         preset={"schema_version": 1, "experiment": "triangulation", "seed": 20240501,
                 "model": CONSTANT_ORDER_MODEL,
@@ -678,7 +687,7 @@ EXPERIMENTS = {
                              "mc_n_traj": 100000, "x0": 0.0}},
         run=run_triangulation, checks=_triangulation_checks,
         description="constant-order: solver, sampler, and quadrature vs closed form",
-        needs=(_CONSTANT_ORDER, _CONSTANT_G)),
+        needs=(_CONSTANT_ORDER, _CONSTANT_G, _THRESHOLD)),
     "variable-order": Experiment(
         preset={"schema_version": 1, "experiment": "variable-order", "seed": 20240502,
                 "model": VARIABLE_ORDER_MODEL,
@@ -690,7 +699,7 @@ EXPERIMENTS = {
                 ]}},
         run=run_variable_order, checks=_variable_order_checks,
         description="variable-order: solver vs sampler across a step ladder",
-        needs=(_PERIODIC,
+        needs=(_PERIODIC, _THRESHOLD,
                ("a halved grid n_x // 2 >= 3 and n_s // 2 >= 16 for its self-convergence "
                 "solve", lambda m, num: num["n_x"] // 2 >= 3 and num["n_s"] // 2 >= 16))),
     "subordination-identity": Experiment(
@@ -701,7 +710,7 @@ EXPERIMENTS = {
                              "ks_u": 1.0, "density_tau": 1e-3, "density_n_traj": 100000}},
         run=run_subordination_identity, checks=_subordination_identity_checks,
         description="exhaustive recursion, marginal law, empirical quadrature",
-        needs=(_CONSTANT_ORDER, _CONSTANT_G, *_SUBORDINATION_NEEDS)),
+        needs=(_CONSTANT_ORDER, _CONSTANT_G, _THRESHOLD, *_SUBORDINATION_NEEDS)),
     "solver-convergence": Experiment(
         preset={"schema_version": 1, "experiment": "solver-convergence", "seed": 0,
                 "model": CONSTANT_ORDER_MODEL,

@@ -2,10 +2,11 @@
 bounds.
 
 Coefficient fields are named presets whose parameters are plain numbers (so
-configs stay serializable), and every declared bound is verified by dense
-grid sampling over the solver's periodic cell at construction time with zero
-tolerance. One reader, `read_mapping`, checks every config mapping and names
-the full path of the entry it rejects.
+configs stay serializable), and every declared bound is checked at
+construction time, with zero tolerance, against the field's exact extremes
+over s in [0, VALIDATED_T] and the solver's periodic cell. One reader,
+`read_mapping`, checks every config mapping and names the full path of the
+entry it rejects.
 
 A spatial part is also the jump law at every position, and samples it. The
 diffusion law puts weight 1/2 on each of +-sqrt(g(x)), which matches the
@@ -34,7 +35,6 @@ from .errors import (
     OrderBoundViolation,
 )
 
-_VALIDATION_POINTS = 10_000
 VALIDATED_T = 2.0  # the fields are checked for s in [0, VALIDATED_T]
 
 
@@ -125,6 +125,24 @@ class ScalarField:
         if self.kind == "trig":
             return self._coef["freq_x"].is_integer()
         return self.kind in ("constant", "affine")
+
+    @property
+    def extremes(self) -> tuple[float, float]:
+        """Least and greatest value over s in [0, VALIDATED_T], x in [-pi, pi].
+        An affine field takes them at the ends in s. On [-pi, pi],
+        sin(freq_x x) reaches +-1 once |freq_x| >= 1/2 and +-sin(|freq_x| pi)
+        below that, and cos(freq_t s) is 1 at s = 0. Both are NaN where
+        freq_x pi or freq_t VALIDATED_T overflows, as the field is then NaN."""
+        c = self._coef
+        if self.kind == "constant":
+            return c["value"], c["value"]
+        if self.kind == "affine":
+            return tuple(sorted((c["c0"], c["c0"] + c["ct"] * VALIDATED_T)))
+        f = abs(c["freq_x"])
+        if math.isinf(f * math.pi) or math.isinf(c["freq_t"] * VALIDATED_T):
+            return math.nan, math.nan
+        reach = abs(c["amp"]) * (1.0 if f >= 0.5 else math.sin(f * math.pi))
+        return c["base"] - reach, c["base"] + reach
 
 
 _FIELD_KEYS = {
@@ -255,16 +273,6 @@ _SPATIAL_KEYS = {
 }
 
 
-def _sample_grid(n_points):
-    """Cartesian (t, x) sample grid over [0, VALIDATED_T] x [-pi, pi], the
-    solver's periodic cell, with roughly n_points entries."""
-    n_side = int(np.sqrt(n_points))
-    ts = np.linspace(0.0, VALIDATED_T, n_side)
-    xs = np.linspace(-np.pi, np.pi, n_side)
-    tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    return tt.ravel(), xx.ravel()
-
-
 def make_model(config: Mapping) -> Model:
     """Build a validated Model from a parsed configuration mapping.
 
@@ -272,11 +280,10 @@ def make_model(config: Mapping) -> Model:
     spatial coefficient free of time, since every reader takes it at s = 0.
     Rejects any violation of the declared bounds: the product of
     the upper order bound with alpha must stay below 1, every lower bound
-    must be strictly positive, and the coefficient fields are spot-checked
-    on a dense grid of s in [0, VALIDATED_T] and x in the solver's cell,
-    and a trig field also at its exact extremes, against their declared
-    ranges (hard reject, no tolerance). Each
-    rejection names the entry's path, such as model.spatial.g.amp.
+    must be strictly positive, and each coefficient field's exact extremes
+    over s in [0, VALIDATED_T] and x in the solver's cell must lie in its
+    declared range (hard reject, no tolerance). Each rejection names the
+    entry's path, such as model.spatial.g.amp.
     """
     config = read_mapping("model", config, _MODEL_KEYS)
     for key in ("alpha", "a_lo", "a_hi"):
@@ -316,34 +323,14 @@ def make_model(config: Mapping) -> Model:
     c_field = getattr(spatial, coef)
     if not c_field.time_independent:
         raise ConfigError(f"{path}.{coef} must not depend on time: ct and freq_t must be 0")
-    ts, xs = _sample_grid(_VALIDATION_POINTS)
-    # A value that overflows or is NaN fails its range check; no warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_vals = np.concatenate([order_field(ts, xs), _trig_extremes(order_field)])
-        c_vals = np.concatenate([c_field(0.0, xs), _trig_extremes(c_field)])
-    _check_range("model.order_field", a_vals, "model.a", a_lo, a_hi, OrderBoundViolation)
-    _check_range(f"{path}.{coef}", c_vals, f"{path}.{coef}", lo, hi, BoundViolation)
+    _check_range("model.order_field", order_field, "model.a", a_lo, a_hi, OrderBoundViolation)
+    _check_range(f"{path}.{coef}", c_field, f"{path}.{coef}", lo, hi, BoundViolation)
     return Model(alpha=alpha, order_field=order_field, a_lo=a_lo, a_hi=a_hi, spatial=spatial)
 
 
-def _trig_extremes(field):
-    """A trig field's exact least and greatest values over the validated
-    region, which the grid can miss (it sees only base when freq_x is a
-    multiple of its spacing): base +- |amp| S, where sin(freq_x x) on
-    [-pi, pi] reaches S = 1 once |freq_x| >= 1/2 and sin(|freq_x| pi) below
-    that; cos(freq_t t) is 1 at t = 0. Empty for the other kinds."""
-    if field.kind != "trig":
-        return np.empty(0)
-    c = field._coef
-    f = abs(c["freq_x"])
-    reach = abs(c["amp"]) * (1.0 if f >= 0.5 else math.sin(f * math.pi))
-    return np.array([c["base"] - reach, c["base"] + reach])
-
-
-def _check_range(name, vals, bounds, lo, hi, error):
-    """The field values vals, sampled and extreme, must lie in [lo, hi]; a
-    NaN never does."""
-    v_lo, v_hi = np.min(vals), np.max(vals)
+def _check_range(name, field, bounds, lo, hi, error):
+    """The field's extremes must lie in [lo, hi]; a NaN never does."""
+    v_lo, v_hi = field.extremes
     if not lo <= v_lo <= v_hi <= hi:
-        raise error(f"{name} leaves [{bounds}_lo, {bounds}_hi] on the validation grid or at "
-                    f"its extremes: range [{v_lo:.6g}, {v_hi:.6g}]")
+        raise error(f"{name} leaves [{bounds}_lo, {bounds}_hi] at its extremes: "
+                    f"range [{v_lo:.6g}, {v_hi:.6g}]")

@@ -8,17 +8,12 @@ closed form, so sampling is a pure function of (gamma, u).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidTailMass, QuadratureFailure
-
-_GAMMA_CHECK_POINTS = 1001
-
-
-def _tail_mass(B, gamma):
-    return B ** (-np.asarray(gamma, dtype=float)) / np.asarray(gamma, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,8 @@ class WaitingLaw:
     gamma_hi: float
 
     def tail_mass(self, gamma):
-        return _tail_mass(self.B, gamma)
+        gamma = np.asarray(gamma, dtype=float)
+        return self.B ** (-gamma) / gamma
 
     def head_height(self, gamma):
         return (1.0 - self.tail_mass(gamma)) / self.B
@@ -55,26 +51,30 @@ class WaitingLaw:
         return np.divide(u, head_mass / self.B, out=r, where=u < head_mass)
 
 
+def tail_threshold(gamma_lo: float, gamma_hi: float) -> float:
+    """The smallest threshold B with tail mass B^(-gamma)/gamma <= 1 for
+    every gamma in [gamma_lo, gamma_hi]: the larger of gamma^(-1/gamma) at
+    the two ends, since that map decreases on (0, 1). inf when it leaves
+    the float range, which it does for gamma below about 0.00699."""
+    try:
+        return float(max(gamma_lo ** (-1.0 / gamma_lo), gamma_hi ** (-1.0 / gamma_hi)))
+    except OverflowError:
+        return math.inf
+
+
 def build_waiting_law(gamma_lo: float, gamma_hi: float) -> WaitingLaw:
     """Construct a waiting law valid for every gamma in [gamma_lo, gamma_hi].
 
-    Uses the smallest threshold with tail mass <= 1 across the range: max of
-    gamma^(-1/gamma) over the endpoint exponents (the map is monotone on
-    (0,1); this is re-verified on a dense gamma grid here). That threshold
-    exceeds 1, so the head height (1 - tail mass) / B stays below 1.
+    Uses `tail_threshold`, which exceeds 1, so the head height
+    (1 - tail mass) / B stays below 1.
     """
     if not (0.0 < gamma_lo <= gamma_hi < 1.0):
         raise InvalidTailMass(
             f"exponent range [{gamma_lo}, {gamma_hi}] must sit inside (0, 1)"
         )
-    B = float(max(gamma_lo ** (-1.0 / gamma_lo), gamma_hi ** (-1.0 / gamma_hi)))
-    gammas = np.linspace(gamma_lo, gamma_hi, _GAMMA_CHECK_POINTS)
-    masses = _tail_mass(B, gammas)
-    if np.max(masses) > 1.0 + 1e-12:
-        raise InvalidTailMass(
-            f"B={B} gives tail mass {np.max(masses):.6g} > 1 at gamma="
-            f"{gammas[np.argmax(masses)]:.4g}"
-        )
+    B = tail_threshold(gamma_lo, gamma_hi)
+    if B == math.inf:
+        raise InvalidTailMass(f"tail threshold gamma^(-1/gamma) overflows at gamma = {gamma_lo}")
     return WaitingLaw(B=B, gamma_lo=gamma_lo, gamma_hi=gamma_hi)
 
 

@@ -340,6 +340,29 @@ def test_model_the_runner_cannot_use_exit_2(tmp_path, capsys, experiment, model,
     assert not (tmp_path / "o").exists()
 
 
+# An order so small that the waiting law's threshold gamma^(-1/gamma)
+# overflows (gamma below 0.00699) is refused with exit 2 by every experiment
+# that builds the law, before any work or output.
+@pytest.mark.parametrize("experiment, change, need", [
+    ("triangulation", {"model": {**PRESETS["triangulation"]["model"], "alpha": 0.005}},
+     "tail threshold gamma^(-1/gamma) is finite"),
+    ("subordination-identity",
+     {"model": {**PRESETS["subordination-identity"]["model"], "alpha": 0.005}},
+     "tail threshold gamma^(-1/gamma) is finite"),
+    ("variable-order", {"model": {**PRESETS["variable-order"]["model"], "alpha": 0.01}},
+     "tail threshold gamma^(-1/gamma) is finite"),
+    ("rate-check", {"numerics": {"alphas": [0.005]}},
+     "alphas whose tail thresholds alpha^(-1/alpha) are finite"),
+])
+def test_order_too_small_for_a_waiting_law_exit_2(tmp_path, capsys, experiment, change, need):
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": experiment,
+                                        "seed": 0, **change})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{experiment} needs" in err and need in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 _VARORDER = PRESETS["variable-order"]["model"]
 _TIME_DEPENDENT_ORDER = {**_VARORDER, "order_field": {"kind": "affine", "c0": 1.0, "ct": 0.5},
                          "a_lo": 1.0, "a_hi": 2.0}
@@ -367,8 +390,8 @@ def test_model_outside_its_checked_range_exit_2(tmp_path, capsys, model, numeric
 
 
 def test_order_field_beyond_its_bounds_between_grid_points_exit_2(tmp_path, capsys):
-    # At freq_x 99 the order field is its base 1 at every validation grid
-    # point, but its true range [0.5, 1.5] takes gamma = 0.95 a to 1.425.
+    # At freq_x 99 the order field is its base 1 at every x = -pi + 2 pi k / 99,
+    # but its true range [0.5, 1.5] takes gamma = 0.95 a to 1.425.
     model = {**_VARORDER, "alpha": 0.95, "a_lo": 0.99, "a_hi": 1.01,
              "order_field": {"kind": "trig", "base": 1, "amp": 0.5, "freq_x": 99}}
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "experiment": "variable-order",

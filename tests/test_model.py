@@ -14,7 +14,7 @@ from varfrac.errors import (
     OrderBoundViolation,
     VarfracError,
 )
-from varfrac.model import gamma_at, make_model, parse_scalar_field
+from varfrac.model import VALIDATED_T, gamma_at, make_model, parse_scalar_field
 
 from conftest import CONSTANT_ORDER, STABLE_HALF, VARIABLE_ORDER
 
@@ -111,9 +111,9 @@ def test_spatial_field_outside_declared_range_rejected():
         make_model(cfg)
 
 
-# The validation grid's x points are 2 pi / 99 apart, so a trig field of
-# freq_x 99 equals its base at every one of them; its exact extremes base +-
-# |amp| still count.
+# A trig field of freq_x 99 equals its base at every x = -pi + 2 pi k / 99,
+# so a check on such a grid would pass it; its exact extremes base +- |amp|
+# decide.
 def test_trig_field_checked_at_its_exact_extremes():
     grid_blind = {"kind": "trig", "base": 1.0, "amp": 0.5, "freq_x": 99.0}
     with pytest.raises(OrderBoundViolation, match=r"range \[0\.5, 1\.5\]"):
@@ -126,6 +126,60 @@ def test_trig_field_checked_at_its_exact_extremes():
     slow = {"kind": "trig", "base": 1.0, "amp": -0.5, "freq_x": 0.25}
     reach = 0.5 * math.sin(0.25 * math.pi) + 1e-9
     make_model(_cfg(alpha=0.4, a_lo=1.0 - reach, a_hi=1.0 + reach, order_field=slow))
+
+
+def _dense_values(field):
+    """The field on a dense (s, x) grid over [0, VALIDATED_T] x [-pi, pi],
+    the reference range of its extremes."""
+    ts = np.linspace(0.0, VALIDATED_T, 101)
+    xs = np.linspace(-math.pi, math.pi, 1001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(field(ts[:, None], xs[None, :]), dtype=float)
+
+
+def _closed_form_points(field):
+    """The (s, x) points where the field takes its least and greatest
+    values: an affine field at the ends of the window in s, a trig field at
+    s = 0 where sin(freq_x x) is -+1, or at x = -+pi below |freq_x| = 1/2."""
+    p = field.params
+    if field.kind == "constant":
+        return [(0.0, 0.0)]
+    if field.kind == "affine":
+        return [(0.0, 0.0), (VALIDATED_T, 0.0)]
+    f = abs(p["freq_x"])
+    x = math.pi if f < 0.5 else math.pi / (2.0 * f)
+    return [(0.0, -x), (0.0, x)]
+
+
+_MODEST = st.floats(-1e3, 1e3)
+_FREQ = st.one_of(st.floats(-3.0, 3.0), st.integers(-100, 100).map(float),
+                  st.floats(1e307, 1.7976931348623157e308).flatmap(
+                      lambda f: st.sampled_from([f, -f])))
+_FIELDS = st.one_of(
+    st.builds(lambda v: {"kind": "constant", "value": v}, _MODEST),
+    st.builds(lambda c0, ct: {"kind": "affine", "c0": c0, "ct": ct}, _MODEST, _MODEST),
+    st.builds(lambda b, a, fx, ft: {"kind": "trig", "base": b, "amp": a, "freq_x": fx,
+                                    "freq_t": ft},
+              _MODEST, _MODEST, _FREQ, st.one_of(st.just(0.0), _FREQ)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_FIELDS)
+def test_extremes_bound_dense_samples_and_are_attained(cfg):
+    field = parse_scalar_field(cfg)
+    lo, hi = field.extremes
+    vals = _dense_values(field)
+    if field.kind == "trig" and (math.isinf(cfg["freq_x"] * math.pi)
+                                 or math.isinf(cfg["freq_t"] * VALIDATED_T)):
+        # The field is NaN at the edge of the region, and so are both extremes.
+        assert math.isnan(lo) and math.isnan(hi)
+        assert np.isnan(vals).any()
+        return
+    assert lo <= hi
+    assert np.all((lo <= vals) & (vals <= hi))
+    attained = {float(field(s, x)) for s, x in _closed_form_points(field)}
+    assert {lo, hi} <= attained
 
 
 def test_unknown_keys_rejected():
@@ -220,7 +274,7 @@ _AFFINE_ORDER = {**CONSTANT_ORDER, "order_field": {"kind": "affine", "c0": 1.0, 
      "model.dim is missing"),
     ({**CONSTANT_ORDER, "extra": 1}, ConfigError, "unknown keys ['extra'] in model"),
     ([CONSTANT_ORDER], ConfigError, "model must be a mapping"),
-    # A field that is NaN somewhere on the validation grid is outside any range.
+    # A field that is NaN somewhere on the checked region is outside any range.
     ({**_AFFINE_ORDER, "order_field": {"kind": "trig", "base": 1.1, "amp": 0.1,
                                        "freq_t": 1e308}},
      OrderBoundViolation, "model.order_field leaves [model.a_lo, model.a_hi]"),

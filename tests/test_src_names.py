@@ -1,4 +1,5 @@
-"""Every function and class in the package is reached from the package.
+"""Every function and class in the package is reached from the package,
+and every module of it turns its RuntimeWarnings into test errors.
 
 Code that only tests or the benchmark call belongs beside them, not in
 src/. The check is by name: a definition counts as used when its name is
@@ -8,6 +9,8 @@ read, looked up as an attribute or imported in some module of the package.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import varfrac
 
@@ -37,3 +40,14 @@ def test_every_defined_name_is_referenced_in_the_package():
                 used.add(node.name)
     assert sorted(defined - used - _PINNED_BY_BENCH) == []
     assert _PINNED_BY_BENCH <= defined
+
+
+def test_every_module_has_its_runtime_warning_filter():
+    tomllib = pytest.importorskip("tomllib")
+    src = Path(varfrac.__file__).parent
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    filters = tomllib.loads(pyproject.read_text(encoding="utf-8"))["tool"]["pytest"][
+        "ini_options"]["filterwarnings"]
+    modules = [p.stem for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    missing = [m for m in modules if f"error::RuntimeWarning:varfrac.{m}" not in filters]
+    assert missing == []

@@ -85,6 +85,23 @@ def test_density_below_one_everywhere():
     assert np.max(law.head_height(gammas)) <= 1.0 + 1e-12
 
 
+# gamma -> gamma^(-1/gamma) decreases on (0, 1), so the threshold at the
+# ends of the range bounds the tail mass by 1 at every order inside it. Below
+# gamma = 0.00699 the threshold overflows and the law is refused.
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.0066, 1.0, exclude_max=True), b=st.floats(0.0066, 1.0, exclude_max=True))
+def test_threshold_bounds_tail_mass_on_a_dense_range(a, b):
+    lo, hi = min(a, b), max(a, b)
+    if waiting.tail_threshold(lo, hi) == math.inf:
+        assert lo < 0.007
+        with pytest.raises(InvalidTailMass, match="overflows"):
+            waiting.build_waiting_law(lo, hi)
+        return
+    law = waiting.build_waiting_law(lo, hi)
+    assert law.B == waiting.tail_threshold(lo, hi)
+    assert np.max(law.tail_mass(np.linspace(lo, hi, 1001))) <= 1.0 + 1e-12
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     gamma=st.floats(0.21, 0.59),
